@@ -1,168 +1,35 @@
-//===- backend/Backend.h - Pluggable execution-backend seam ----------------===//
+//===- backend/Backend.h - Execution backend name --------------------------===//
 //
 // Part of the DyC reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The seam between the staged specializer and the execution substrate
-/// (ROADMAP item 4, in the style of kronos's GenericCompiler/GenericModule
-/// split). The specializer — Emitter, UnrollDriver, and
-/// RegionExecutionCore::specializeInto — produces residual bytecode as a
-/// backend-agnostic transfer format; an ExecutionBackend decides how the
-/// host actually executes it. The core brackets every specialization run
-/// with the backend:
-///
-///   beginRegion()   opens the chain's code buffer: marks it dynamic code
-///                   and reserves its simulated address range (so distinct
-///                   chains' I-cache footprints never alias);
-///   <emission>      the UnrollDriver writes residual bytecode through the
-///                   Emitter into the buffer;
-///   compileRegion() turns the finished emission into the backend's
-///                   installable CompiledRegion artifact, handed to the
-///                   code chain before publication;
-///   releaseArtifact()/invalidate() retire the artifact when the chain is
-///                   unpublished (capacity eviction, one-slot displacement,
-///                   speculative demotion).
-///
-/// Two clients ship behind the seam:
-///
-///  * BytecodeBackend — the default. The residual bytecode IS the
-///    artifact; each VM's DecodedCache translates on first touch exactly
-///    as before the seam existed, so this backend is behavior-preserving
-///    by construction.
-///  * TemplateBackend — pre-fuses each region into straight-line
-///    superblocks with quickened superinstructions at emit time and
-///    installs the translation in a registry every attached VM adopts,
-///    skipping translate-on-first-touch (Brunthaler-style speculative
-///    staging of the interpreter itself).
-///
-/// Contract for implementations:
-///
-///  * compileRegion must not charge simulated cycles. Backends change how
-///    the host executes a region, never what the cost model observes —
-///    simulated counters are bit-identical across backends, which the
-///    parity suite (tests/BackendTest.cpp) enforces.
-///  * beginRegion/compileRegion run under the caller's specialization
-///    serialization (the inline runtime is single-threaded; the server
-///    holds its SpecMutex). attach, releaseArtifact, and invalidate must
-///    be safe against concurrent adoption by executing VMs.
-///  * releaseArtifact must be idempotent: eviction, displacement, and
-///    region release may each report the same chain.
+/// Specialized chains are bytecode run by the VM's predecoded engine, so
+/// there is exactly one execution backend. The benchmark program dycbench
+/// (perfbench/) records its name in every result's pinned configuration
+/// through the two calls below, which is the only reason they exist.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DYC_BACKEND_BACKEND_H
-#define DYC_BACKEND_BACKEND_H
-
-#include "bta/OptFlags.h"
-#include "vm/VM.h"
-
-#include <atomic>
-#include <cstdint>
-#include <map>
-#include <memory>
+#ifndef DYC_SRC_BACKEND_BACKEND_H
+#define DYC_SRC_BACKEND_BACKEND_H
 
 namespace dyc {
+
+enum class ExecBackend { Default };
+
 namespace backend {
 
-enum class BackendKind { Bytecode, Template };
+enum class BackendKind { Bytecode };
 
-/// Stable lowercase name ("bytecode" / "template"), as accepted by
-/// dycc --backend and the DYC_BACKEND environment variable.
-const char *backendName(BackendKind K);
+inline BackendKind resolveBackendKind(ExecBackend) {
+  return BackendKind::Bytecode;
+}
 
-/// Resolves a front end's requested backend. Explicit requests win;
-/// ExecBackend::Default consults the DYC_BACKEND environment variable
-/// ("bytecode" / "template", unknown values ignored) and falls back to
-/// Bytecode — mirroring the DYC_VM_ENGINE precedent, so any existing
-/// binary can A/B the backends without a flag.
-BackendKind resolveBackendKind(ExecBackend Requested);
-
-/// Host-level backend counters (never simulated cycles). Relaxed atomics:
-/// the server's workers compile concurrently with stats readers.
-struct BackendStats {
-  std::atomic<uint64_t> RegionsCompiled{0};
-  std::atomic<uint64_t> InstrsCompiled{0};
-  std::atomic<uint64_t> Superblocks{0};         ///< template backend only
-  std::atomic<uint64_t> Superinstructions{0};   ///< template backend only
-  std::atomic<uint64_t> ArtifactsReleased{0};
-};
-
-/// One finished specialization run, as handed to compileRegion: the
-/// emitted bytecode plus every PC at which control can enter the chain
-/// from outside (the entry itself, interned exit stubs, and dispatch
-/// stubs). Stub maps are keyed by ir::BlockId / dispatch-site id — both
-/// uint32_t — mapping to the stub's PC.
-struct RegionEmission {
-  vm::CodeObject &CO;
-  uint32_t EntryPC = 0;
-  const std::map<uint32_t, uint32_t> &ExitStubs;
-  const std::map<uint32_t, uint32_t> &DispatchStubs;
-};
-
-/// An installed, backend-owned execution artifact for one code chain. The
-/// chain holds it alive until the chain is unpublished; concrete backends
-/// subclass it with whatever the substrate needs (the bytecode backend
-/// returns none at all).
-class CompiledRegion {
-public:
-  virtual ~CompiledRegion();
-};
-
-class ExecutionBackend {
-public:
-  virtual ~ExecutionBackend();
-
-  virtual BackendKind kind() const = 0;
-  const char *name() const { return backendName(kind()); }
-
-  /// Opens a fresh chain's code buffer. The default does exactly what the
-  /// pre-seam specializer did: mark the object dynamic code and reserve
-  /// \p ReserveBytes of simulated address space from \p Prog — in that
-  /// order, so address assignment (and therefore disassembly and I-cache
-  /// behavior) is byte-identical across backends.
-  virtual void beginRegion(vm::CodeObject &CO, vm::Program &Prog,
-                           uint64_t ReserveBytes);
-
-  /// Compiles one finished emission into an installable artifact; null
-  /// when the substrate consumes the bytecode directly. \p SpecVM is the
-  /// machine the run specialized on; its cost model and I-cache geometry
-  /// are authoritative for every VM that will execute the chain.
-  virtual std::shared_ptr<CompiledRegion>
-  compileRegion(const RegionEmission &E, vm::VM &SpecVM) = 0;
-
-  /// Retires the backend's installed artifact for an unpublished chain.
-  /// Idempotent; safe for chains that never compiled one. Default: no-op.
-  virtual void releaseArtifact(const vm::CodeObject &CO);
-
-  /// Connects a VM to this backend's execution substrate (the template
-  /// backend shares its prebuilt-translation registry). Front ends call
-  /// this for every VM that will execute chains. Default: no-op.
-  virtual void attach(vm::VM &M);
-
-  /// Artifacts currently installed (the template backend's registry
-  /// size). Eviction tests bound this to prove eager release. Default: 0.
-  virtual size_t residentArtifacts() const;
-
-  /// VM-level unpublish: drops \p M's own translation of \p CO and
-  /// retires the backend artifact. The inline runtime calls this at its
-  /// three unpublish sites so both layers stay coherent.
-  void invalidate(vm::VM &M, const vm::CodeObject &CO) {
-    M.invalidateDecoded(CO);
-    releaseArtifact(CO);
-  }
-
-  const BackendStats &stats() const { return Stats; }
-
-protected:
-  BackendStats Stats;
-};
-
-/// Factory over the shipped backends.
-std::unique_ptr<ExecutionBackend> createBackend(BackendKind K);
+inline const char *backendName(BackendKind) { return "bytecode"; }
 
 } // namespace backend
 } // namespace dyc
 
-#endif // DYC_BACKEND_BACKEND_H
+#endif // DYC_SRC_BACKEND_BACKEND_H

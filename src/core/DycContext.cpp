@@ -96,7 +96,7 @@ DycContext::buildSpeculative(const speculate::SpeculationPolicy &Policy,
   E->AnnotatedOrdinal.assign(M.numFunctions(), -1);
   E->Machine = std::make_unique<vm::VM>(E->Prog, CM, IC);
   E->Machine->Hook = E->Spec.get();
-  E->Spec->arm(*E->Machine); // also attaches the machine to the backend
+  E->Spec->arm(*E->Machine);
   return E;
 }
 
@@ -130,7 +130,6 @@ DycContext::buildDynamic(const OptFlags &Flags, const vm::CostModel &CM,
 
   E->Machine = std::make_unique<vm::VM>(E->Prog, CM, IC);
   E->Machine->Hook = E->RT.get();
-  E->RT->core().attachVM(*E->Machine);
   return E;
 }
 

@@ -64,8 +64,34 @@ private:
   }
 
   void error(const std::string &Msg) {
-    Errors.push_back(formatString("line %u: %s", cur().Line, Msg.c_str()));
+    if (!Stopped)
+      Errors.push_back(formatString("line %u: %s", cur().Line, Msg.c_str()));
   }
+
+  /// Recursion bound shared by statements and expressions: deeper input
+  /// ends the parse with one diagnostic instead of exhausting the stack.
+  static constexpr unsigned MaxNesting = 1000;
+
+  /// Counts one nesting level for the scope of parseStmt / parseUnary, the
+  /// two calls every unbounded recursion passes through. Past MaxNesting
+  /// the parser reports once and jumps to the end-of-file token, so every
+  /// enclosing loop terminates; the diagnostics the unwinding would add
+  /// are suppressed.
+  class Nesting {
+  public:
+    explicit Nesting(Parser &P) : P(P) {
+      if (++P.Depth > MaxNesting && !P.Stopped) {
+        P.error(formatString("nesting deeper than %u levels", MaxNesting));
+        P.Stopped = true;
+        P.Pos = P.Toks.size() - 1;
+      }
+    }
+    ~Nesting() { --P.Depth; }
+    bool tooDeep() const { return P.Stopped; }
+
+  private:
+    Parser &P;
+  };
 
   bool atType() const {
     return at(TokKind::KwInt) || at(TokKind::KwDouble) || at(TokKind::KwVoid);
@@ -213,6 +239,9 @@ private:
   }
 
   StmtPtr parseStmt() {
+    Nesting N(*this);
+    if (N.tooDeep())
+      return makeStmt(Stmt::Block);
     if (at(TokKind::LBrace))
       return parseBlock();
     if (accept(TokKind::Semi))
@@ -373,6 +402,9 @@ private:
   }
 
   ExprPtr parseUnary() {
+    Nesting N(*this);
+    if (N.tooDeep())
+      return makeExpr(Expr::IntLit);
     if (at(TokKind::Minus)) {
       auto E = makeExpr(Expr::Unary);
       advance();
@@ -470,6 +502,8 @@ private:
   std::vector<Token> Toks;
   std::vector<std::string> &Errors;
   size_t Pos = 0;
+  unsigned Depth = 0;
+  bool Stopped = false; ///< nesting limit hit; the parse is over
 };
 
 } // namespace

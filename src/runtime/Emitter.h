@@ -21,12 +21,8 @@
 /// alias its neighbor in the I-cache model — a modeling inaccuracy, not a
 /// correctness hazard.
 ///
-/// The bytecode the emitter writes is the backend-agnostic transfer
-/// format of the execution-backend seam (backend/Backend.h): the buffer
-/// it encodes into was opened by ExecutionBackend::beginRegion, and the
-/// finished emission is handed to ExecutionBackend::compileRegion, which
-/// may lower it further (the template backend pre-fuses it into
-/// superblocks). The emitter itself is backend-independent.
+/// The bytecode the emitter writes is what executes: each VM's predecoded
+/// engine translates a chain on first touch (vm/Decoded.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -77,7 +77,6 @@ void RegionExecutionCore::addRegion(cogen::GenExtFunction GX) {
   auto R = std::make_unique<RegionState>();
   R->CtxPlacements.assign(GX.Region.Contexts.size(), 0);
   R->GX = std::move(GX);
-  R->Stats.Backend = BK->name();
   R->Stats.PlanEnabled = PlanOn;
   Regions.push_back(std::move(R));
   Books.emplace_back();
@@ -188,19 +187,7 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
   for (size_t I = 0; I != P.KeyRegs.size(); ++I)
     Vals[P.KeyRegs[I]] = KeyVals[I];
 
-  auto Chain =
-      std::allocate_shared<CodeChain>(PoolAllocator<CodeChain>(R.Pool));
-  Chain->Ordinal = ChainCounter.fetch_add(1, std::memory_order_relaxed) + 1;
-  Chain->Region = static_cast<uint32_t>(Ordinal);
-  Chain->CO.NumRegs = R.GX.NumRegs;
-  // The backend opens the chain's code buffer: dynamic-code marking plus
-  // the simulated address reservation (the region code cap, so distinct
-  // chains' I-cache footprints never alias).
-  BK->beginRegion(Chain->CO, Prog,
-                  static_cast<uint64_t>(Flags.MaxRegionInstrs) * 4);
-  if (R.ChainNamePrefix.empty())
-    R.ChainNamePrefix = M.function(R.GX.FuncIdx).Name + ".chain";
-  Chain->CO.Name = R.ChainNamePrefix + std::to_string(Chain->Ordinal);
+  std::shared_ptr<CodeChain> Chain = newChain(Ordinal);
 
   // Staged emit plan: built once per region on first specialization (the
   // caller serializes specializeInto, and nested re-entrant runs happen on
@@ -235,15 +222,6 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
     Entry = Driver.run(P.TargetCtx, std::move(Vals));
   }
   Chain->Instrs = static_cast<uint32_t>(Chain->CO.Code.size());
-  // Hand the finished emission — the bytecode stream plus every PC where
-  // control can enter from outside — to the backend. The bytecode backend
-  // returns no artifact (VMs translate lazily); the template backend
-  // pre-fuses the chain into superblocks and installs the shared
-  // translation before publication.
-  Chain->Artifact = BK->compileRegion(
-      backend::RegionEmission{Chain->CO, Entry, Chain->ExitStubs,
-                              Chain->DispatchStubs},
-      VMRef);
   Chains.add(Chain);
 
   auto E = std::allocate_shared<SpecEntry>(PoolAllocator<SpecEntry>(R.Pool));
@@ -265,33 +243,37 @@ std::shared_ptr<SpecEntry> RegionExecutionCore::specializeInto(
   return E;
 }
 
-std::shared_ptr<CodeChain> RegionExecutionCore::restoreChain(
-    size_t Ordinal, vm::VM &VMRef, std::vector<vm::Instr> Code,
-    uint32_t EntryPC, std::map<ir::BlockId, uint32_t> ExitStubs,
-    std::map<uint32_t, uint32_t> DispatchStubs,
-    std::map<ir::BlockId, uint32_t> OsrEntries) {
+std::shared_ptr<CodeChain> RegionExecutionCore::newChain(size_t Ordinal) {
   assert(Ordinal < Regions.size() && "bad region ordinal");
   RegionState &R = *Regions[Ordinal];
-
   auto Chain =
       std::allocate_shared<CodeChain>(PoolAllocator<CodeChain>(R.Pool));
   Chain->Ordinal = ChainCounter.fetch_add(1, std::memory_order_relaxed) + 1;
   Chain->Region = static_cast<uint32_t>(Ordinal);
   Chain->CO.NumRegs = R.GX.NumRegs;
-  BK->beginRegion(Chain->CO, Prog,
-                  static_cast<uint64_t>(Flags.MaxRegionInstrs) * 4);
+  // Mark the buffer as dynamic code, then reserve its simulated address
+  // range (the region code cap, so distinct chains' I-cache footprints
+  // never alias).
+  Chain->CO.IsDynamicCode = true;
+  Chain->CO.BaseAddr =
+      Prog.allocCodeAddr(static_cast<uint64_t>(Flags.MaxRegionInstrs) * 4);
   if (R.ChainNamePrefix.empty())
     R.ChainNamePrefix = M.function(R.GX.FuncIdx).Name + ".chain";
   Chain->CO.Name = R.ChainNamePrefix + std::to_string(Chain->Ordinal);
+  return Chain;
+}
+
+std::shared_ptr<CodeChain> RegionExecutionCore::restoreChain(
+    size_t Ordinal, std::vector<vm::Instr> Code,
+    std::map<ir::BlockId, uint32_t> ExitStubs,
+    std::map<uint32_t, uint32_t> DispatchStubs,
+    std::map<ir::BlockId, uint32_t> OsrEntries) {
+  std::shared_ptr<CodeChain> Chain = newChain(Ordinal);
   Chain->CO.Code = std::move(Code);
   Chain->ExitStubs = std::move(ExitStubs);
   Chain->DispatchStubs = std::move(DispatchStubs);
   Chain->OsrEntries = std::move(OsrEntries);
   Chain->Instrs = static_cast<uint32_t>(Chain->CO.Code.size());
-  Chain->Artifact = BK->compileRegion(
-      backend::RegionEmission{Chain->CO, EntryPC, Chain->ExitStubs,
-                              Chain->DispatchStubs},
-      VMRef);
   Chains.add(Chain);
   return Chain;
 }
@@ -330,11 +312,6 @@ void RegionExecutionCore::admit(std::shared_ptr<SpecEntry> E,
     if (Cand->Chain) {
       Cand->Chain->Evicted.store(true, std::memory_order_release);
       B.Instrs -= Cand->Chain->Instrs;
-      // Eagerly retire the backend artifact: adopters keep executing off
-      // their own shared references, but the registry must not pin an
-      // evicted chain's translation.
-      BK->releaseArtifact(Cand->Chain->CO);
-      Cand->Chain->Artifact.reset();
     }
     ++Regions[Cand->Region]->Stats.Evictions;
     B.Records.erase(B.Records.begin() + static_cast<long>(B.Hand));
@@ -345,11 +322,8 @@ void RegionExecutionCore::admit(std::shared_ptr<SpecEntry> E,
 void RegionExecutionCore::displaced(const std::shared_ptr<SpecEntry> &E,
                                     ir::CachePolicy Policy) {
   assert(E->Region < Books.size() && "bad region ordinal");
-  if (E->Chain) {
+  if (E->Chain)
     E->Chain->Evicted.store(true, std::memory_order_release);
-    BK->releaseArtifact(E->Chain->CO);
-    E->Chain->Artifact.reset();
-  }
   // One-slot mismatch replacement is the inline runtime's historical
   // eviction event; hashed/indexed displacement (same key or same index
   // word) replaces rather than evicts.

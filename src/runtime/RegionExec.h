@@ -37,27 +37,18 @@
 /// reuses an address, so a freed chain's stale translation can never be
 /// reached through a newly published chain. A front end that unpublishes
 /// a chain (admit's eviction callback, one-slot displacement) should also
-/// call backend().invalidate(VM, CO) — VM::invalidateDecoded plus
-/// backend-artifact release — so neither the translation cache nor the
-/// backend's registry pins memory for code the registry is about to free;
-/// the VM additionally revalidates every translation against
-/// (Code.size(), Version) when it enters a code object, which is what
-/// makes Emitter rewrites (branch patching, hole filling — they bump
-/// Version) safe even without eager invalidation.
-///
-/// Execution backends: the core owns one backend::ExecutionBackend,
-/// selected from OptFlags::Backend at construction, and brackets every
-/// specialization run with it (beginRegion / compileRegion). The core
-/// itself releases backend artifacts when it evicts or displaces a chain,
-/// so eager reclamation holds for all front ends — including the server,
-/// whose client VMs the core cannot reach.
+/// call VM::invalidateDecoded so the translation cache does not pin memory
+/// for code the registry is about to free; the VM additionally
+/// revalidates every translation against (Code.size(), Version) when it
+/// enters a code object, which is what makes Emitter rewrites (branch
+/// patching, hole filling — they bump Version) safe even without eager
+/// invalidation.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DYC_RUNTIME_REGIONEXEC_H
 #define DYC_RUNTIME_REGIONEXEC_H
 
-#include "backend/Backend.h"
 #include "bta/OptFlags.h"
 #include "cogen/CompilerGenerator.h"
 #include "cogen/EmitPlan.h"
@@ -106,12 +97,6 @@ struct CodeChain {
   uint64_t Ordinal = 0; ///< creation order across all regions
   uint32_t Region = 0;  ///< owning region ordinal
   uint32_t Instrs = 0;  ///< CO.Code.size() at publication
-  /// The backend's installed artifact for this chain (null for the
-  /// bytecode backend). Written at publication and reset at
-  /// eviction/displacement, both under the owner's serialization; clients
-  /// never read it — they reach prebuilt state through the backend's
-  /// registry.
-  std::shared_ptr<backend::CompiledRegion> Artifact;
 };
 
 /// Maps a CodeObject back to its owning chain so onDynamicCodeExit — which
@@ -220,22 +205,10 @@ public:
   RegionExecutionCore(const ir::Module &M, vm::Program &Prog,
                       const OptFlags &Flags, ChainBudget Budget = {})
       : M(M), Prog(Prog), Flags(Flags), Budget(Budget),
-        BK(backend::createBackend(
-            backend::resolveBackendKind(Flags.Backend))),
         PlanOn(cogen::resolveEmitPlanEnabled(Flags.EmitPlan)) {}
 
-  // --- Execution backend ------------------------------------------------------
-
-  /// The backend every specialization run compiles through. attach /
-  /// releaseArtifact / invalidate are internally thread-safe;
-  /// compileRegion runs under the caller's specialization serialization.
-  backend::ExecutionBackend &backend() const { return *BK; }
-  const char *backendName() const { return BK->name(); }
-
-  /// Connects \p M to the backend's execution substrate. Front ends call
-  /// this for every VM that will execute chains — clients and the
-  /// specialization VM itself.
-  void attachVM(vm::VM &M) const { BK->attach(M); }
+  /// No-op, kept because the benchmark program (perfbench/) calls it.
+  void attachVM(vm::VM &) const {}
 
   /// Registers the generating extension for the next annotated function.
   /// Must be called in annotated-ordinal order (the order lowerModule
@@ -301,12 +274,12 @@ public:
   /// serialized by a prior process, skipping the generating-extension run.
   /// The core allocates a fresh simulated address range (restoring chains
   /// in their original creation-ordinal order therefore reproduces the
-  /// original BaseAddrs), hands the code to the backend exactly as
-  /// specializeInto would, and registers the chain. The caller owns cache
-  /// publication, as with specializeInto. Caller-serialized.
+  /// original BaseAddrs) exactly as specializeInto would, and registers
+  /// the chain. The caller owns cache publication, as with specializeInto.
+  /// Caller-serialized.
   std::shared_ptr<CodeChain>
-  restoreChain(size_t Ordinal, vm::VM &M, std::vector<vm::Instr> Code,
-               uint32_t EntryPC, std::map<ir::BlockId, uint32_t> ExitStubs,
+  restoreChain(size_t Ordinal, std::vector<vm::Instr> Code,
+               std::map<ir::BlockId, uint32_t> ExitStubs,
                std::map<uint32_t, uint32_t> DispatchStubs,
                std::map<ir::BlockId, uint32_t> OsrEntries);
 
@@ -362,6 +335,10 @@ private:
     uint64_t Instrs = 0;
   };
 
+  /// A fresh, empty chain of region \p Ordinal with its simulated address
+  /// range reserved and its name assigned.
+  std::shared_ptr<CodeChain> newChain(size_t Ordinal);
+
   bool overBudget(const RegionBook &B) const {
     return (Budget.MaxEntries && B.Records.size() > Budget.MaxEntries) ||
            (Budget.MaxInstrs && B.Instrs > Budget.MaxInstrs);
@@ -371,7 +348,6 @@ private:
   vm::Program &Prog;
   OptFlags Flags;
   ChainBudget Budget;
-  std::unique_ptr<backend::ExecutionBackend> BK;
   /// Resolved once at construction (OptFlags::EmitPlan / DYC_EMIT_PLAN):
   /// whether specialization runs execute through staged emit plans.
   bool PlanOn;

@@ -77,9 +77,6 @@ public:
   RegionExecutionCore &core() { return Core; }
   const RegionExecutionCore &core() const { return Core; }
 
-  /// Name of the execution backend the core compiles through.
-  const char *backendName() const { return Core.backendName(); }
-
   size_t numRegions() const { return Core.numRegions(); }
   const RegionStats &stats(size_t Ordinal) const { return Core.stats(Ordinal); }
   /// Host seconds spent inside the specializer (see

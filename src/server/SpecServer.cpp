@@ -204,10 +204,6 @@ SpecServer::SpecServer(const ir::Module &M, const OptFlags &Flags,
 
   SpecVM = std::make_unique<vm::VM>(Prog, this->Cfg.CM, this->Cfg.IC);
   SpecVM->Hook = this;
-  // The specialization VM executes chains too (static calls at specialize
-  // time dispatch again on the worker), so it joins the backend's
-  // substrate like any client.
-  Core.attachVM(*SpecVM);
   if (this->Cfg.MemoryImage)
     this->Cfg.MemoryImage(*SpecVM);
 
@@ -236,7 +232,6 @@ std::unique_ptr<vm::VM> SpecServer::makeClientVM(uint32_t TenantId) {
   auto V = std::make_unique<vm::VM>(Prog, Cfg.CM, Cfg.IC);
   V->Hook = this;
   V->Tenant = TenantId;
-  Core.attachVM(*V);
   if (Cfg.MemoryImage)
     Cfg.MemoryImage(*V);
   // Register the tenant here, before the VM's first dispatch can name it:
@@ -838,14 +833,11 @@ void SpecServer::tenantDisplaced(TenantState &TS,
 }
 
 void SpecServer::releaseStoreRef(const CodeChain *Chain) {
-  if (std::shared_ptr<CodeChain> Last = Store.release(Chain)) {
-    // Last tenant let go: retire the chain exactly as the single-tenant
-    // eviction paths do. Collection still waits for active executors to
-    // drain at the trimQuiescent safe point.
+  // Last tenant let go: retire the chain exactly as the single-tenant
+  // eviction paths do. Collection still waits for active executors to
+  // drain at the trimQuiescent safe point.
+  if (std::shared_ptr<CodeChain> Last = Store.release(Chain))
     Last->Evicted.store(true, std::memory_order_release);
-    Core.backend().releaseArtifact(Last->CO);
-    Last->Artifact.reset();
-  }
 }
 
 ServerStatsSnapshot SpecServer::tenantStats(uint32_t TenantId) const {
@@ -853,7 +845,6 @@ ServerStatsSnapshot SpecServer::tenantStats(uint32_t TenantId) const {
   if (!TS)
     return ServerStatsSnapshot();
   ServerStatsSnapshot S = TS->St.snapshot();
-  S.Backend = Core.backendName();
   S.SnapshotsRetired = TS->Cache.retiredSnapshots();
   S.MultiTenant = true;
   S.Tenants = 1;
@@ -1092,8 +1083,8 @@ bool SpecServer::loadCacheFrom(const std::string &Path) {
     }
     SC.DedupKey = ChainStore::dedupKey(RegionContentHash[SC.Ord], SC.PromoId,
                                        SC.Key, FlagsFingerprint);
-    SC.Chain = Core.restoreChain(SC.Ord, *SpecVM, std::move(Code), SC.EntryPC,
-                                 std::move(ExitStubs), std::move(DispatchStubs),
+    SC.Chain = Core.restoreChain(SC.Ord, std::move(Code), std::move(ExitStubs),
+                                 std::move(DispatchStubs),
                                  std::move(OsrEntries));
     SC.WarmLoaded = true;
     // Unreferenced until a tenant's first miss adopts it (a WarmHit).

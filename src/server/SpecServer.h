@@ -154,7 +154,6 @@ public:
   ServerStatsSnapshot stats() const {
     ServerStatsSnapshot S = St.snapshot();
     S.SnapshotsRetired = Cache.retiredSnapshots(); // currently in graveyard
-    S.Backend = Core.backendName();
     S.CompileQueueDepth = Queue.pending();
     if (Tier) {
       S.TierEnabled = true;
@@ -234,10 +233,6 @@ public:
   /// The tiering controller, or null when tiering is off.
   const tier::TierController *tierController() const { return Tier.get(); }
 
-  /// Name of the execution backend the server's core compiles through.
-  const char *backendName() const { return Core.backendName(); }
-  /// The backend itself (stats are atomic; safe to read concurrently).
-  backend::ExecutionBackend &backend() const { return Core.backend(); }
   /// Copy of the core's per-region specializer counters.
   runtime::RegionStats regionStats(size_t Ordinal) const;
   size_t residentEntries(size_t Ordinal) const;
@@ -297,8 +292,8 @@ private:
   void tenantDisplaced(TenantState &TS,
                        const std::shared_ptr<CacheRecord> &E);
   /// Drops one store reference from \p Chain; retires the chain (marks it
-  /// evicted, releases the backend artifact) when the last tenant lets
-  /// go. Collection still waits for active executors at the safe point.
+  /// evicted) when the last tenant lets go. Collection still waits for
+  /// active executors at the safe point.
   void releaseStoreRef(const CodeChain *Chain);
 
   /// Hands out a chain for execution, counting the executor in. With

@@ -44,10 +44,6 @@ SpeculativeRuntime::SpeculativeRuntime(const ir::Module &M, vm::Program &Prog,
 }
 
 void SpeculativeRuntime::arm(vm::VM &Machine) {
-  // Synthesized twins go through the inner runtime's backend seam like any
-  // region, so the armed machine joins the backend's execution substrate
-  // even when speculation itself is disabled.
-  Inner->core().attachVM(Machine);
   if (!Policy.Enabled)
     return;
   for (size_t I = 0; I != SpecM.numFunctions(); ++I)

@@ -218,54 +218,26 @@ const DecodedCode *DecodedCache::get(const CodeObject &CO, const CostModel &CM,
     return LastDC;
   auto It = Map.find(CO.BaseAddr);
   if (It != Map.end()) {
-    const DecodedCode *DC = dcOf(It->second);
-    if (DC->CodeSize == CO.Code.size() && DC->Version == CO.Version) {
-      LastAddr = CO.BaseAddr;
-      LastDC = DC;
-      return DC;
-    }
-    if (It->second.Owned) {
+    DecodedCode *DC = It->second.get();
+    if (DC->CodeSize != CO.Code.size() || DC->Version != CO.Version) {
       // Stale (the runtime rewrote the object): re-translate in place,
       // keeping any promoted entry points that are still in range. The
       // leader list is moved to a local first — the old translation is
       // itself the recycle donor.
-      std::vector<uint32_t> Extra = std::move(It->second.Owned->ExtraLeaders);
-      auto ND = buildDecoded(CO, CM, IC, std::move(Extra),
-                             std::move(It->second.Owned));
+      std::vector<uint32_t> Extra = std::move(DC->ExtraLeaders);
+      It->second =
+          buildDecoded(CO, CM, IC, std::move(Extra), std::move(It->second));
       ++Builds;
-      It->second.Owned = std::move(ND);
-      LastAddr = CO.BaseAddr;
-      LastDC = It->second.Owned.get();
-      return LastDC;
     }
-    // Stale adoption: the backend reinstalled after a rewrite. Drop the
-    // shared reference and fall through to the miss path, which consults
-    // the registry again.
-    if (LastDC == DC)
-      LastDC = nullptr;
-    Map.erase(It);
-  }
-  // Miss: adopt a backend-prebuilt translation when one is installed and
-  // current, skipping translate-on-first-touch entirely.
-  if (Registry) {
-    if (auto Pre = Registry->find(CO.BaseAddr)) {
-      if (Pre->CodeSize == CO.Code.size() && Pre->Version == CO.Version) {
-        ++Adopts;
-        Slot S;
-        S.Adopted = std::move(Pre);
-        auto Res = Map.emplace(CO.BaseAddr, std::move(S));
-        LastAddr = CO.BaseAddr;
-        LastDC = Res.first->second.Adopted.get();
-        return LastDC;
-      }
-    }
+    LastAddr = CO.BaseAddr;
+    LastDC = It->second.get();
+    return LastDC;
   }
   ++Builds;
-  Slot S;
-  S.Owned = buildDecoded(CO, CM, IC, {}, takeSpare());
-  auto Res = Map.emplace(CO.BaseAddr, std::move(S));
+  auto Res =
+      Map.emplace(CO.BaseAddr, buildDecoded(CO, CM, IC, {}, takeSpare()));
   LastAddr = CO.BaseAddr;
-  LastDC = Res.first->second.Owned.get();
+  LastDC = Res.first->second.get();
   return LastDC;
 }
 
@@ -277,24 +249,22 @@ const DecodedCode *DecodedCache::promoteLeader(const CodeObject &CO,
   std::unique_ptr<DecodedCode> Recycle;
   auto It = Map.find(CO.BaseAddr);
   if (It != Map.end()) {
-    // Copied, not moved: an adopted translation is shared and immutable,
-    // and an owned donor is rebuilt below. A prebuilt translation's entry
-    // and stub leaders thus survive into the VM-local replacement.
-    Extra = dcOf(It->second)->ExtraLeaders;
-    if (Extra.size() >= MaxExtraLeaders)
+    if (It->second->ExtraLeaders.size() >= MaxExtraLeaders)
       return nullptr;
-    if (LastDC == dcOf(It->second))
+    if (LastDC == It->second.get())
       LastDC = nullptr;
-    Recycle = std::move(It->second.Owned); // null for adopted slots
+    // The old translation is rebuilt below as the recycle donor.
+    Extra = std::move(It->second->ExtraLeaders);
+    Recycle = std::move(It->second);
     Map.erase(It);
   }
   Extra.push_back(PC);
-  Slot S;
-  S.Owned = buildDecoded(CO, CM, IC, std::move(Extra), std::move(Recycle));
   ++Builds;
-  auto Res = Map.insert_or_assign(CO.BaseAddr, std::move(S));
+  auto Res = Map.insert_or_assign(
+      CO.BaseAddr,
+      buildDecoded(CO, CM, IC, std::move(Extra), std::move(Recycle)));
   LastAddr = CO.BaseAddr;
-  LastDC = Res.first->second.Owned.get();
+  LastDC = Res.first->second.get();
   return LastDC;
 }
 

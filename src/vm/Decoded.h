@@ -33,14 +33,6 @@
 /// promotes that PC to a block leader and re-translates, so steady-state
 /// execution is always on the superblock fast path.
 ///
-/// Translations need not be built by the executing VM: an execution
-/// backend (backend/TemplateBackend.h) can build a region's translation
-/// once at emit time and install it in a PrebuiltTranslations registry;
-/// every VM connected to that registry adopts the shared, immutable
-/// translation on first touch instead of translating. Adopted
-/// translations are validated by exactly the same (BaseAddr, CodeSize,
-/// Version) rules, so the invalidation contract is unchanged.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef DYC_VM_DECODED_H
@@ -51,8 +43,6 @@
 #include "vm/ICache.h"
 
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -145,53 +135,7 @@ buildDecoded(const CodeObject &CO, const CostModel &CM,
              const ICacheConfig &IC, std::vector<uint32_t> ExtraLeaders,
              std::unique_ptr<DecodedCode> Recycle = nullptr);
 
-/// Backend-installed translations shared across VMs, keyed by the owning
-/// CodeObject's simulated BaseAddr. The template execution backend builds
-/// a chain's translation once at emit time and installs it here; every VM
-/// connected to the registry (VM::setPrebuiltTranslations) adopts it on
-/// first touch instead of running translate-on-first-touch. Thread safe:
-/// the specializing thread installs/releases while client VMs adopt
-/// concurrently. All connected VMs must share the installing VM's
-/// CostModel and I-cache geometry — the front ends construct every VM
-/// over one configuration, which is also what keeps simulated counters
-/// identical across clients.
-class PrebuiltTranslations {
-public:
-  /// Installs (or replaces) the translation for \p BaseAddr.
-  void install(uint64_t BaseAddr, std::shared_ptr<const DecodedCode> DC) {
-    std::unique_lock<std::shared_mutex> L(Mu);
-    Map.insert_or_assign(BaseAddr, std::move(DC));
-  }
-
-  /// The installed translation for \p BaseAddr, or null.
-  std::shared_ptr<const DecodedCode> find(uint64_t BaseAddr) const {
-    std::shared_lock<std::shared_mutex> L(Mu);
-    auto It = Map.find(BaseAddr);
-    return It == Map.end() ? nullptr : It->second;
-  }
-
-  /// Uninstalls \p BaseAddr; returns whether it was present (idempotent).
-  /// VMs that already adopted the translation keep their shared reference
-  /// until their own caches drop it.
-  bool release(uint64_t BaseAddr) {
-    std::unique_lock<std::shared_mutex> L(Mu);
-    return Map.erase(BaseAddr) != 0;
-  }
-
-  size_t size() const {
-    std::shared_lock<std::shared_mutex> L(Mu);
-    return Map.size();
-  }
-
-private:
-  mutable std::shared_mutex Mu;
-  std::unordered_map<uint64_t, std::shared_ptr<const DecodedCode>> Map;
-};
-
-/// The per-VM translation cache. Not thread-safe: each VM owns one. A
-/// cache entry either owns a translation this VM built or holds a shared
-/// reference to a backend-prebuilt one adopted from a
-/// PrebuiltTranslations registry.
+/// The per-VM translation cache. Not thread-safe: each VM owns one.
 class DecodedCache {
 public:
   /// Returns the (valid) translation of \p CO, building or rebuilding it
@@ -207,17 +151,16 @@ public:
                                    const ICacheConfig &IC);
 
   /// Drops the translation of \p CO (the runtime unpublished its chain).
-  /// An owned translation's buffers are kept on a small spare list and
-  /// donated to the next build; an adopted translation's shared reference
-  /// is simply released (the registry or other adopters may still hold it).
+  /// Its buffers are kept on a small spare list and donated to the next
+  /// build.
   void invalidate(const CodeObject &CO) {
     auto It = Map.find(CO.BaseAddr);
     if (It == Map.end())
       return;
-    if (LastDC == dcOf(It->second))
+    if (LastDC == It->second.get())
       LastDC = nullptr;
-    if (It->second.Owned && Spares.size() < MaxSpares)
-      Spares.push_back(std::move(It->second.Owned));
+    if (Spares.size() < MaxSpares)
+      Spares.push_back(std::move(It->second));
     Map.erase(It);
   }
 
@@ -227,24 +170,8 @@ public:
   }
   size_t size() const { return Map.size(); }
   uint64_t builds() const { return Builds; }
-  uint64_t adopts() const { return Adopts; }
-
-  /// Connects this cache to a backend's shared translation registry (null
-  /// disconnects). The registry must outlive the cache or be detached
-  /// first; VM::setPrebuiltTranslations keeps it alive.
-  void setRegistry(const PrebuiltTranslations *R) { Registry = R; }
 
 private:
-  /// One cache entry: exactly one of the two pointers is set.
-  struct Slot {
-    std::unique_ptr<DecodedCode> Owned;
-    std::shared_ptr<const DecodedCode> Adopted;
-  };
-
-  static const DecodedCode *dcOf(const Slot &S) {
-    return S.Owned ? S.Owned.get() : S.Adopted.get();
-  }
-
   /// Promotion budget per code object; beyond it, unpredicted entry PCs
   /// single-step to the next leader instead of re-translating.
   static constexpr size_t MaxExtraLeaders = 256;
@@ -261,7 +188,7 @@ private:
     return S;
   }
 
-  std::unordered_map<uint64_t, Slot> Map;
+  std::unordered_map<uint64_t, std::unique_ptr<DecodedCode>> Map;
   std::vector<std::unique_ptr<DecodedCode>> Spares;
   /// Most-recently-returned memo: the VM re-derives the translation on
   /// every frame re-entry (each dispatch and return), which in steady
@@ -269,8 +196,6 @@ private:
   uint64_t LastAddr = 0;
   const DecodedCode *LastDC = nullptr;
   uint64_t Builds = 0;
-  uint64_t Adopts = 0;
-  const PrebuiltTranslations *Registry = nullptr;
 };
 
 } // namespace vm

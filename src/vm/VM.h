@@ -207,17 +207,6 @@ public:
   /// Translation-cache introspection (tests and benchmarks).
   size_t decodedObjects() const { return Decoded.size(); }
   uint64_t decodeBuilds() const { return Decoded.builds(); }
-  uint64_t decodeAdopts() const { return Decoded.adopts(); }
-
-  /// Connects this VM to an execution backend's shared prebuilt-translation
-  /// registry (null disconnects). Adopted translations bypass
-  /// translate-on-first-touch; see PrebuiltTranslations for the contract.
-  /// Front ends call backend::ExecutionBackend::attach rather than this
-  /// directly.
-  void setPrebuiltTranslations(std::shared_ptr<const PrebuiltTranslations> R) {
-    Prebuilt = std::move(R);
-    Decoded.setRegistry(Prebuilt.get());
-  }
 
   /// Engine selection; Predecoded by default. The DYC_VM_ENGINE
   /// environment variable ("legacy" / "predecoded") overrides it at
@@ -336,9 +325,6 @@ private:
   /// Per-function guarded-call flags (see setCallGuard).
   std::vector<uint8_t> CallGuards;
   DecodedCache Decoded;
-  /// Keeps the connected backend's translation registry alive for as long
-  /// as the DecodedCache holds a raw pointer to it.
-  std::shared_ptr<const PrebuiltTranslations> Prebuilt;
   /// OnCall presence, latched at run() entry so the per-call path tests a
   /// bool instead of a std::function.
   bool HasOnCall = false;

@@ -126,6 +126,53 @@ TEST(Parser, RecoversAndReportsErrors) {
   EXPECT_FALSE(Errors.empty());
 }
 
+std::string repeat(const std::string &S, size_t N) {
+  std::string Out;
+  Out.reserve(S.size() * N);
+  for (size_t I = 0; I != N; ++I)
+    Out += S;
+  return Out;
+}
+
+/// Nesting far past the parser's bound must end in exactly one nesting
+/// diagnostic — not a stack overflow, and not one error per open level.
+void expectNestingDiagnostic(const std::string &Src) {
+  std::vector<std::string> Errors;
+  parseProgram(Src, Errors);
+  ASSERT_EQ(Errors.size(), 1u) << (Errors.empty() ? "" : Errors.back());
+  EXPECT_NE(Errors[0].find("nesting"), std::string::npos) << Errors[0];
+}
+
+constexpr size_t DeepNesting = 200000;
+
+TEST(Parser, DeepParenthesesStopWithDiagnostic) {
+  expectNestingDiagnostic("int f() { return " + repeat("(", DeepNesting) +
+                          "1" + repeat(")", DeepNesting) + "; }");
+}
+
+TEST(Parser, DeepUnaryMinusStopsWithDiagnostic) {
+  expectNestingDiagnostic("int f() { return " + repeat("- ", DeepNesting) +
+                          "1; }");
+}
+
+TEST(Parser, DeepBlocksStopWithDiagnostic) {
+  expectNestingDiagnostic("int f() " + repeat("{ ", DeepNesting) +
+                          "return 1;" + repeat(" }", DeepNesting));
+}
+
+TEST(Parser, NestingDepth200StillParses) {
+  const size_t N = 200;
+  for (const std::string &Src :
+       {"int f() { return " + repeat("(", N) + "1" + repeat(")", N) + "; }",
+        "int f() { return " + repeat("- ", N) + "1; }",
+        "int f() " + repeat("{ ", N) + "return 1;" + repeat(" }", N)}) {
+    std::vector<std::string> Errors;
+    ir::Module M;
+    EXPECT_TRUE(compileMiniC(Src, M, Errors))
+        << (Errors.empty() ? "" : Errors[0]);
+  }
+}
+
 bool lowerOk(const std::string &Src, ir::Module &M) {
   std::vector<std::string> Errors;
   bool OK = compileMiniC(Src, M, Errors);
