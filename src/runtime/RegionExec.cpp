@@ -282,41 +282,63 @@ std::shared_ptr<CodeChain> RegionExecutionCore::restoreChain(
 // Capacity + eviction
 //===----------------------------------------------------------------------===//
 
-void RegionExecutionCore::admit(std::shared_ptr<SpecEntry> E,
-                                const UnpublishFn &Unpublish) {
-  assert(E->Region < Books.size() && "bad region ordinal");
-  RegionBook &B = Books[E->Region];
+void ClockBook::admit(std::shared_ptr<SpecEntry> E, const ChainBudget &Budget,
+                      const VictimFn &OnVictim) {
   const SpecEntry *Fresh = E.get();
-  B.Instrs += E->Chain ? E->Chain->Instrs : 0;
-  B.Records.push_back(std::move(E));
+  Instrs += E->Chain ? E->Chain->Instrs : 0;
+  Records.push_back(std::move(E));
 
+  auto OverBudget = [&] {
+    return (Budget.MaxEntries && Records.size() > Budget.MaxEntries) ||
+           (Budget.MaxInstrs && Instrs > Budget.MaxInstrs);
+  };
   // CLOCK sweep: clear set reference bits; evict the first clear record
   // that is not the one just admitted. Two full laps guarantee a victim
   // (after one lap every bit is clear).
-  size_t Guard = 2 * B.Records.size() + 2;
-  while (overBudget(B) && B.Records.size() > 1 && Guard--) {
-    if (B.Hand >= B.Records.size())
-      B.Hand = 0;
-    std::shared_ptr<SpecEntry> &Cand = B.Records[B.Hand];
+  size_t Guard = 2 * Records.size() + 2;
+  while (OverBudget() && Records.size() > 1 && Guard--) {
+    if (Hand >= Records.size())
+      Hand = 0;
+    const std::shared_ptr<SpecEntry> &Cand = Records[Hand];
     if (Cand.get() == Fresh) {
-      ++B.Hand;
+      ++Hand;
       continue;
     }
-    if (Cand->Use && Cand->Use->RefBit.exchange(false,
-                                                std::memory_order_acq_rel)) {
-      ++B.Hand; // recently used: second chance
+    if (Cand->Use &&
+        Cand->Use->RefBit.exchange(false, std::memory_order_acq_rel)) {
+      ++Hand; // recently used: second chance
       continue;
     }
-    if (Unpublish)
-      Unpublish(*Cand);
-    if (Cand->Chain) {
-      Cand->Chain->Evicted.store(true, std::memory_order_release);
-      B.Instrs -= Cand->Chain->Instrs;
-    }
-    ++Regions[Cand->Region]->Stats.Evictions;
-    B.Records.erase(B.Records.begin() + static_cast<long>(B.Hand));
+    OnVictim(*Cand);
+    Instrs -= Cand->Chain ? Cand->Chain->Instrs : 0;
+    Records.erase(Records.begin() + static_cast<long>(Hand));
     // Hand stays: it now points at the next record.
   }
+}
+
+void ClockBook::remove(const SpecEntry *E) {
+  auto It = std::find_if(
+      Records.begin(), Records.end(),
+      [&](const std::shared_ptr<SpecEntry> &R) { return R.get() == E; });
+  if (It == Records.end())
+    return;
+  Instrs -= (*It)->Chain ? (*It)->Chain->Instrs : 0;
+  size_t Idx = static_cast<size_t>(It - Records.begin());
+  Records.erase(It);
+  if (Hand > Idx)
+    --Hand;
+}
+
+void RegionExecutionCore::admit(std::shared_ptr<SpecEntry> E,
+                                const UnpublishFn &Unpublish) {
+  assert(E->Region < Books.size() && "bad region ordinal");
+  Books[E->Region].admit(std::move(E), Budget, [&](const SpecEntry &Victim) {
+    if (Unpublish)
+      Unpublish(Victim);
+    if (Victim.Chain)
+      Victim.Chain->Evicted.store(true, std::memory_order_release);
+    ++Regions[Victim.Region]->Stats.Evictions;
+  });
 }
 
 void RegionExecutionCore::displaced(const std::shared_ptr<SpecEntry> &E,
@@ -330,28 +352,17 @@ void RegionExecutionCore::displaced(const std::shared_ptr<SpecEntry> &E,
   if (Policy == ir::CachePolicy::CacheOne ||
       Policy == ir::CachePolicy::CacheOneUnchecked)
     ++Regions[E->Region]->Stats.Evictions;
-
-  RegionBook &B = Books[E->Region];
-  auto It = std::find_if(
-      B.Records.begin(), B.Records.end(),
-      [&](const std::shared_ptr<SpecEntry> &R) { return R.get() == E.get(); });
-  if (It == B.Records.end())
-    return;
-  B.Instrs -= (*It)->Chain ? (*It)->Chain->Instrs : 0;
-  size_t Idx = static_cast<size_t>(It - B.Records.begin());
-  B.Records.erase(It);
-  if (B.Hand > Idx)
-    --B.Hand;
+  Books[E->Region].remove(E.get());
 }
 
 size_t RegionExecutionCore::residentEntries(size_t Ordinal) const {
   assert(Ordinal < Books.size() && "bad region ordinal");
-  return Books[Ordinal].Records.size();
+  return Books[Ordinal].size();
 }
 
 uint64_t RegionExecutionCore::residentInstrs(size_t Ordinal) const {
   assert(Ordinal < Books.size() && "bad region ordinal");
-  return Books[Ordinal].Instrs;
+  return Books[Ordinal].instrs();
 }
 
 //===----------------------------------------------------------------------===//

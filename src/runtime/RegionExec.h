@@ -160,6 +160,39 @@ struct SpecEntry {
   uint64_t Ordinal = 0; ///< == Chain->Ordinal
 };
 
+/// CLOCK book of one region's resident entries: the records in admission
+/// order, the CLOCK hand, and their emitted-instruction total. The one
+/// capacity algorithm of the system — the core's per-region books and each
+/// tenant's per-region books of a multi-tenant SpecServer are all
+/// ClockBooks, so their eviction sequences agree for equal budgets.
+/// Caller-serialized.
+class ClockBook {
+public:
+  /// Called once per victim, while the victim is still in the book: the
+  /// owner unpublishes it and retires its chain, in whatever order its
+  /// books need.
+  using VictimFn = std::function<void(const SpecEntry &)>;
+
+  /// Accounts the just-published \p E and evicts CLOCK victims (never \p E
+  /// itself) until the book fits \p Budget again. A set reference bit buys
+  /// its entry a second chance.
+  void admit(std::shared_ptr<SpecEntry> E, const ChainBudget &Budget,
+             const VictimFn &OnVictim);
+
+  /// Drops \p E from the book (one-slot or indexed displacement); no-op if
+  /// it is not resident. The hand keeps pointing at the record it pointed
+  /// at, or at the next one if \p E was under it.
+  void remove(const SpecEntry *E);
+
+  size_t size() const { return Records.size(); }
+  uint64_t instrs() const { return Instrs; }
+
+private:
+  std::vector<std::shared_ptr<SpecEntry>> Records;
+  size_t Hand = 0;
+  uint64_t Instrs = 0;
+};
+
 /// Everything the specializer shares across one region's runs.
 struct RegionState {
   cogen::GenExtFunction GX;
@@ -288,9 +321,9 @@ public:
   /// Removes an entry from the front end's cache so the next dispatch on
   /// its key misses. Called by the core during capacity eviction, once per
   /// victim, before the victim's chain is marked evicted.
-  using UnpublishFn = std::function<void(const SpecEntry &)>;
+  using UnpublishFn = ClockBook::VictimFn;
 
-  /// Accounts the just-published \p E against its region's budget and
+  /// Accounts the just-published \p E against its region's ClockBook and
   /// evicts CLOCK victims (never \p E itself) until the region fits again.
   /// Victims are unpublished via \p Unpublish, their chains marked
   /// evicted, and the region's Evictions counter bumped.
@@ -328,21 +361,9 @@ public:
   std::string printRegion(size_t Ordinal, const ir::Module &Mod) const;
 
 private:
-  /// CLOCK book of resident entries for one region.
-  struct RegionBook {
-    std::vector<std::shared_ptr<SpecEntry>> Records;
-    size_t Hand = 0; ///< CLOCK hand
-    uint64_t Instrs = 0;
-  };
-
   /// A fresh, empty chain of region \p Ordinal with its simulated address
   /// range reserved and its name assigned.
   std::shared_ptr<CodeChain> newChain(size_t Ordinal);
-
-  bool overBudget(const RegionBook &B) const {
-    return (Budget.MaxEntries && B.Records.size() > Budget.MaxEntries) ||
-           (Budget.MaxInstrs && B.Instrs > Budget.MaxInstrs);
-  }
 
   const ir::Module &M;
   vm::Program &Prog;
@@ -353,7 +374,7 @@ private:
   bool PlanOn;
 
   std::vector<std::unique_ptr<RegionState>> Regions;
-  std::vector<RegionBook> Books; ///< parallel to Regions
+  std::vector<ClockBook> Books; ///< parallel to Regions
 
   ChainRegistry Chains;
   std::atomic<uint64_t> ChainCounter{0};

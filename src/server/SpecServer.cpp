@@ -249,15 +249,14 @@ int SpecServer::regionOrdinalOf(const std::string &Name) const {
 }
 
 vm::RuntimeHook::Target SpecServer::enterChain(const CacheRecord &Rec,
-                                               vm::VM *ClientVM) {
+                                               vm::VM &ClientVM) {
   // An adopted record's chain must look freshly compiled to the client
   // that takes it: if this client executed the same physical chain in an
   // earlier residency, stale I-cache lines would hit where a dedicated
   // server's fresh compile (at a never-used address) would miss.
-  if (ClientVM && Rec.Use &&
-      Rec.Use->ColdEntryPending.load(std::memory_order_relaxed) &&
+  if (Rec.Use && Rec.Use->ColdEntryPending.load(std::memory_order_relaxed) &&
       Rec.Use->ColdEntryPending.exchange(false, std::memory_order_acq_rel))
-    ClientVM->icache().invalidateRange(
+    ClientVM.icache().invalidateRange(
         Rec.Chain->CO.BaseAddr,
         static_cast<uint64_t>(Rec.Chain->CO.Code.size()) * 4);
   // Count the executor in before handing out the chain: the capacity
@@ -293,7 +292,16 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
   // (which try-locks it exclusively) can never free a snapshot or chain
   // out from under a probe.
   std::shared_lock<std::shared_mutex> Gate(DispatchGate);
-  St.Dispatches.fetch_add(1, std::memory_order_relaxed);
+  // On a multi-tenant server the client's tenant picks the cache view and
+  // adds its own ledger. Nested dispatches run on the server's own VM,
+  // whose Tenant id means nothing — the requesting tenant rides the
+  // specialization thread.
+  TenantState *TS = nullptr;
+  if (Cfg.MultiTenant) {
+    TS = InSpecWorkerFlag ? CurrentSpecTenant : findTenant(ClientVM.Tenant);
+    assert(TS && "dispatch from a VM of an unregistered tenant");
+  }
+  count(TS, &ServerStats::Dispatches);
   uint64_t Now = Tick.fetch_add(1, std::memory_order_relaxed) + 1;
 
   uint32_t Ord, PromoId;
@@ -327,26 +335,16 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
     KeyBuf.push_back(Regs[Rg]);
   WordSpan Key = KeyBuf.span();
 
-  if (Cfg.MultiTenant) {
-    // Nested dispatches run on the server's own VM, whose Tenant id means
-    // nothing — the requesting tenant rides the specialization thread.
-    TenantState *TS =
-        InSpecWorkerFlag ? CurrentSpecTenant : findTenant(ClientVM.Tenant);
-    assert(TS && "dispatch from a VM of an unregistered tenant");
-    return dispatchTenant(ClientVM, *TS, Ord, PromoId, P, Point, Key,
-                          BakedWords, Regs, Now);
-  }
-
-  ShardedCache::Lookup L = Cache.lookup(Point, Key);
+  ShardedCache::Lookup L = (TS ? TS->Cache : Cache).lookup(Point, Key);
   runtime::chargeDispatchCost(ClientVM, P.Policy, Key.size(), L.Probes);
   if (L.Rec) {
-    St.CacheHits.fetch_add(1, std::memory_order_relaxed);
+    count(TS, &ServerStats::CacheHits);
     L.Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
     L.Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
     L.Rec->Use->RefBit.store(true, std::memory_order_release);
-    return enterChain(*L.Rec);
+    return enterChain(*L.Rec, ClientVM);
   }
-  St.CacheMisses.fetch_add(1, std::memory_order_relaxed);
+  count(TS, &ServerStats::CacheMisses);
 
   // Materialize owned copies before anything that can re-enter dispatch
   // on this thread (inline nested specialization recomposes the scratch)
@@ -358,17 +356,18 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
   if (InSpecWorkerFlag) {
     // Nested miss during a specialization run: specialize inline on this
     // thread (the recursive lock is already held).
-    St.InlineSpecs.fetch_add(1, std::memory_order_relaxed);
+    count(TS, &ServerStats::InlineSpecs);
     std::shared_ptr<CacheRecord> Rec =
-        specializeAndPublish(Ord, PromoId, Point, KeyVec, Baked, KeyVals);
-    return enterChain(*Rec);
+        specializeAndPublish(TS, Ord, PromoId, Point, KeyVec, Baked, KeyVals);
+    return enterChain(*Rec, ClientVM);
   }
 
-  // Tier classification. Without tiering every miss is "hot" (the eager
-  // behavior); with it, cold and warm misses run the generic code and
-  // request nothing — only hot misses create compile work. Tiering
-  // changes only *when* specialization happens: the executed code and the
-  // per-dispatch simulated charges are tier-invariant.
+  // Tier classification. Without tiering (always so on a multi-tenant
+  // server) every miss is "hot" (the eager behavior); with it, cold and
+  // warm misses run the generic code and request nothing — only hot
+  // misses create compile work. Tiering changes only *when*
+  // specialization happens: the executed code and the per-dispatch
+  // simulated charges are tier-invariant.
   bool Hot = true, ColdInterp = false;
   if (Tier) {
     tier::TierDecision D = Tier->onMiss(Ord);
@@ -384,6 +383,16 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
       Tier->policy().MaxInFlightCompiles != 0 &&
       Queue.pending() >= Tier->policy().MaxInFlightCompiles)
     WantJob = false;
+  // Quota admission: past the tenant's in-flight cap the miss is refused
+  // outright — it neither creates a job nor joins a coalesced one (a join
+  // would let a tenant ride another's compile slot past its own cap) —
+  // and is served by the static fallback.
+  if (TS && Cfg.Quota.MaxInFlightCompiles != 0 &&
+      TS->InFlightCompiles.load(std::memory_order_acquire) >=
+          Cfg.Quota.MaxInFlightCompiles) {
+    WantJob = false;
+    count(TS, &ServerStats::QuotaRejections);
+  }
   // A hot async miss arms OSR watches after the fallback decision, and
   // the watch records keep the full cache key — so that path copies the
   // key into the job instead of moving it.
@@ -392,6 +401,7 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
   std::shared_ptr<SpecJob> Shared;
   if (WantJob) {
     auto Job = std::make_unique<SpecJob>();
+    Job->Id.Tenant = TS ? TS->Id : 0;
     Job->Id.Point = Point;
     if (ArmOsr)
       Job->Id.Key = KeyVec;
@@ -404,9 +414,11 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
     bool Created = false;
     Shared = Queue.submit(std::move(Job), Created);
     if (Created) {
-      St.JobsEnqueued.fetch_add(1, std::memory_order_relaxed);
+      if (TS)
+        TS->InFlightCompiles.fetch_add(1, std::memory_order_acq_rel);
+      count(TS, &ServerStats::JobsEnqueued);
     } else if (Shared) {
-      St.JobsCoalesced.fetch_add(1, std::memory_order_relaxed);
+      count(TS, &ServerStats::JobsCoalesced);
     }
   }
 
@@ -422,19 +434,20 @@ vm::RuntimeHook::Target SpecServer::dispatch(vm::VM &ClientVM,
       Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
       Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
       Rec->Use->RefBit.store(true, std::memory_order_release);
-      return enterChain(*Rec);
+      return enterChain(*Rec, ClientVM);
     }
     CompileDead = true; // job abandoned at shutdown
   }
-  // Fallback policy, tiered cold/warm execution, queue shutdown, or a job
-  // abandoned at shutdown: run the statically compiled region.
-  St.Fallbacks.fetch_add(1, std::memory_order_relaxed);
+  // Fallback policy, tiered cold/warm execution, quota refusal, queue
+  // shutdown, or a job abandoned at shutdown: run the statically compiled
+  // region.
+  count(TS, &ServerStats::Fallbacks);
   if (!WantJob)
-    St.FallbacksNotRequested.fetch_add(1, std::memory_order_relaxed);
+    count(TS, &ServerStats::FallbacksNotRequested);
   else if (Shared && !CompileDead)
-    St.FallbacksInFlight.fetch_add(1, std::memory_order_relaxed);
+    count(TS, &ServerStats::FallbacksInFlight);
   else
-    St.FallbacksFailed.fetch_add(1, std::memory_order_relaxed);
+    count(TS, &ServerStats::FallbacksFailed);
 
   // Hot async miss: arm back-edge watches so the frame can pick up the
   // chain mid-loop once the background compile lands. (Armed even when
@@ -530,45 +543,121 @@ void SpecServer::onOsrDrop(vm::VM &, uint64_t Token) {
 }
 
 std::shared_ptr<CacheRecord>
-SpecServer::specializeAndPublish(uint32_t Ord, uint32_t PromoId, size_t Point,
+SpecServer::specializeAndPublish(TenantState *TS, uint32_t Ord,
+                                 uint32_t PromoId, size_t Point,
                                  const std::vector<Word> &Key,
                                  const std::vector<Word> &BakedVals,
                                  const std::vector<Word> &KeyVals) {
   std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
+  ShardedCache &View = TS ? TS->Cache : Cache;
   // Recheck under the lock: the key may have been published while this
   // request sat in the queue (or by a concurrent nested run).
-  if (std::shared_ptr<CacheRecord> Existing = Cache.findRecord(Point, Key))
+  if (std::shared_ptr<CacheRecord> Existing = View.findRecord(Point, Key))
     return Existing;
 
-  bool Prev = InSpecWorkerFlag;
-  InSpecWorkerFlag = true;
-  std::shared_ptr<CacheRecord> Rec =
-      Core.specializeInto(Ord, *SpecVM, PromoId, Key, BakedVals, KeyVals);
-  InSpecWorkerFlag = Prev;
-  St.SpecRuns.fetch_add(1, std::memory_order_relaxed);
-  St.ChainsCreated.fetch_add(1, std::memory_order_relaxed);
+  // A tenant first consults the cross-tenant chain store.
+  uint64_t DK = 0;
+  StoredChain *SC = nullptr;
+  if (TS) {
+    DK = ChainStore::dedupKey(RegionContentHash[Ord], PromoId, Key,
+                              FlagsFingerprint);
+    SC = Store.find(DK, Ord, PromoId, Key);
+  }
+  std::shared_ptr<CacheRecord> Rec;
+  if (SC) {
+    // Adoption: another tenant (or the warm-start file) already produced
+    // this chain. Publish a fresh record over the shared chain with fresh
+    // usage stats, so the tenant's CLOCK sees exactly what a dedicated
+    // server's would for a newly compiled chain.
+    Rec = std::make_shared<CacheRecord>();
+    Rec->Key = Key;
+    Rec->Hash = hashWords(Key);
+    Rec->Region = Ord;
+    Rec->PromoId = PromoId;
+    Rec->EntryPC = SC->EntryPC;
+    Rec->Chain = SC->Chain;
+    Rec->Use = std::make_shared<EntryStats>();
+    Rec->Use->ColdEntryPending.store(true, std::memory_order_release);
+    Rec->Ordinal = SC->Chain->Ordinal;
+    count(TS, &ServerStats::DedupHits);
+    if (SC->WarmLoaded)
+      count(TS, &ServerStats::WarmHits);
+  } else {
+    TenantState *PrevTenant = CurrentSpecTenant;
+    bool Prev = InSpecWorkerFlag;
+    CurrentSpecTenant = TS;
+    InSpecWorkerFlag = true;
+    Rec = Core.specializeInto(Ord, *SpecVM, PromoId, Key, BakedVals, KeyVals);
+    InSpecWorkerFlag = Prev;
+    CurrentSpecTenant = PrevTenant;
+    // Global ledger: actual generating-extension runs only.
+    St.SpecRuns.fetch_add(1, std::memory_order_relaxed);
+    St.ChainsCreated.fetch_add(1, std::memory_order_relaxed);
+    if (TS) {
+      StoredChain NewSC;
+      NewSC.DedupKey = DK;
+      NewSC.Ord = Ord;
+      NewSC.PromoId = PromoId;
+      NewSC.Key = Key;
+      NewSC.EntryPC = Rec->EntryPC;
+      NewSC.Chain = Rec->Chain;
+      SC = &Store.insert(std::move(NewSC));
+    }
+  }
+  if (TS) {
+    // Tenant-view ledger: an adoption still counts as a specialization
+    // run and a created chain — the dedicated server this ledger must
+    // match would have compiled.
+    TS->St.SpecRuns.fetch_add(1, std::memory_order_relaxed);
+    TS->St.ChainsCreated.fetch_add(1, std::memory_order_relaxed);
+    SC->Refs++; // this tenant's publish reference
+  }
   Rec->Point = Point; // server points are global across regions
 
+  // One-slot (or indexed same-slot) replacement displaces an older
+  // version, whose chain is now unreachable from the view. A chain that
+  // leaves a tenant's view drops the tenant's store reference instead of
+  // being retired — another tenant may still run it — and displacement
+  // counts in no tenant ledger: the dedicated server it mirrors counts it
+  // only in its region stats.
   const bta::PromoPoint &P = Core.promo(Ord, PromoId);
-  for (const auto &D : Cache.insert(Rec)) {
-    // One-slot (or indexed same-slot) replacement displaced an older
-    // version; its chain is now unreachable from the cache.
-    Core.displaced(D, P.Policy);
+  for (const auto &D : View.insert(Rec)) {
+    if (!TS) {
+      Core.displaced(D, P.Policy);
+      continue;
+    }
+    TS->Books[Ord].remove(D.get());
+    if (D->Chain)
+      releaseStoreRef(D->Chain.get());
   }
-  // Account the new chain against its region's budget; CLOCK victims are
-  // unpublished from the sharded cache before their chain is marked
-  // evicted, and the core bumps the victim region's Evictions counter.
-  Core.admit(Rec, [this](const CacheRecord &Victim) {
-    Cache.erase(&Victim);
-    St.Evictions.fetch_add(1, std::memory_order_relaxed);
-  });
+  // Account the new chain against its region's budget — the core's book,
+  // or the tenant's over the quota budget. CLOCK victims are unpublished
+  // from the view before their chain is retired; the core also bumps the
+  // victim region's Evictions counter.
+  auto Unpublish = [this, TS, &View](const CacheRecord &Victim) {
+    View.erase(&Victim);
+    count(TS, &ServerStats::Evictions);
+    if (TS && Victim.Chain)
+      releaseStoreRef(Victim.Chain.get());
+  };
+  if (TS)
+    TS->Books[Ord].admit(Rec, Cfg.Quota.Budget, Unpublish);
+  else
+    Core.admit(Rec, Unpublish);
   if (Tier)
     Tier->noteInstall(Ord);
   return Rec;
 }
 
+void SpecServer::count(TenantState *TS,
+                       std::atomic<uint64_t> ServerStats::*Counter) {
+  (St.*Counter).fetch_add(1, std::memory_order_relaxed);
+  if (TS)
+    (TS->St.*Counter).fetch_add(1, std::memory_order_relaxed);
+}
+
 //===----------------------------------------------------------------------===//
-// Multi-tenant path
+// Multi-tenant state
 //===----------------------------------------------------------------------===//
 
 TenantState &SpecServer::tenantState(uint32_t Id) {
@@ -602,236 +691,6 @@ TenantState *SpecServer::findTenant(uint32_t Id) const {
   return It == TenantIndex.end() ? nullptr : It->second;
 }
 
-vm::RuntimeHook::Target
-SpecServer::dispatchTenant(vm::VM &ClientVM, TenantState &TS, uint32_t Ord,
-                           uint32_t PromoId, const bta::PromoPoint &P,
-                           size_t Point, WordSpan Key, size_t BakedWords,
-                           std::vector<Word> &Regs, uint64_t Now) {
-  // From here down this mirrors the single-tenant miss/hit control flow
-  // (minus tiering, which never composes with multi-tenancy) over the
-  // tenant's own cache view, double-counting every ledger event into the
-  // tenant's ServerStats — that ledger must stay bit-identical to a
-  // dedicated single-tenant server replaying the same workload.
-  TS.St.Dispatches.fetch_add(1, std::memory_order_relaxed);
-
-  ShardedCache::Lookup L = TS.Cache.lookup(Point, Key);
-  runtime::chargeDispatchCost(ClientVM, P.Policy, Key.size(), L.Probes);
-  if (L.Rec) {
-    TS.St.CacheHits.fetch_add(1, std::memory_order_relaxed);
-    St.CacheHits.fetch_add(1, std::memory_order_relaxed);
-    L.Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
-    L.Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
-    L.Rec->Use->RefBit.store(true, std::memory_order_release);
-    return enterChain(*L.Rec, &ClientVM);
-  }
-  TS.St.CacheMisses.fetch_add(1, std::memory_order_relaxed);
-  St.CacheMisses.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<Word> Baked(Key.Data, Key.Data + BakedWords);
-  std::vector<Word> KeyVec(Key.begin(), Key.end());
-  std::vector<Word> KeyVals(Key.Data + BakedWords, Key.end());
-
-  if (InSpecWorkerFlag) {
-    TS.St.InlineSpecs.fetch_add(1, std::memory_order_relaxed);
-    St.InlineSpecs.fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<CacheRecord> Rec = specializeAndPublishTenant(
-        TS, Ord, PromoId, Point, KeyVec, Baked, KeyVals);
-    return enterChain(*Rec, &ClientVM);
-  }
-
-  // Quota admission: past the tenant's in-flight cap the miss is refused
-  // outright — it neither creates a job nor joins a coalesced one (a join
-  // would let a tenant ride another's compile slot past its own cap) —
-  // and is served by the static fallback.
-  bool WantJob = true;
-  if (Cfg.Quota.MaxInFlightCompiles != 0 &&
-      TS.InFlightCompiles.load(std::memory_order_acquire) >=
-          Cfg.Quota.MaxInFlightCompiles) {
-    WantJob = false;
-    TS.St.QuotaRejections.fetch_add(1, std::memory_order_relaxed);
-    St.QuotaRejections.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::shared_ptr<SpecJob> Shared;
-  if (WantJob) {
-    auto Job = std::make_unique<SpecJob>();
-    Job->Id.Tenant = TS.Id;
-    Job->Id.Point = Point;
-    Job->Id.Key = std::move(KeyVec);
-    Job->RegionOrd = Ord;
-    Job->PromoId = PromoId;
-    Job->BakedVals = Baked; // copied: the fallback path below reads it too
-    Job->KeyVals = std::move(KeyVals);
-    bool Created = false;
-    Shared = Queue.submit(std::move(Job), Created);
-    if (Created) {
-      TS.InFlightCompiles.fetch_add(1, std::memory_order_acq_rel);
-      TS.St.JobsEnqueued.fetch_add(1, std::memory_order_relaxed);
-      St.JobsEnqueued.fetch_add(1, std::memory_order_relaxed);
-    } else if (Shared) {
-      TS.St.JobsCoalesced.fetch_add(1, std::memory_order_relaxed);
-      St.JobsCoalesced.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  bool CompileDead = false;
-  if (Shared && Cfg.OnMiss == MissPolicy::Block) {
-    ClientVM.chargeDynComp(ClientVM.costModel().SpecCacheInsert);
-    std::shared_ptr<CacheRecord> Rec = Shared->Future.get();
-    if (Rec) {
-      Rec->Use->Hits.fetch_add(1, std::memory_order_relaxed);
-      Rec->Use->LastUse.store(Now, std::memory_order_relaxed);
-      Rec->Use->RefBit.store(true, std::memory_order_release);
-      return enterChain(*Rec, &ClientVM);
-    }
-    CompileDead = true; // job abandoned at shutdown
-  }
-  TS.St.Fallbacks.fetch_add(1, std::memory_order_relaxed);
-  St.Fallbacks.fetch_add(1, std::memory_order_relaxed);
-  if (!WantJob) {
-    TS.St.FallbacksNotRequested.fetch_add(1, std::memory_order_relaxed);
-    St.FallbacksNotRequested.fetch_add(1, std::memory_order_relaxed);
-  } else if (Shared && !CompileDead) {
-    TS.St.FallbacksInFlight.fetch_add(1, std::memory_order_relaxed);
-    St.FallbacksInFlight.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    TS.St.FallbacksFailed.fetch_add(1, std::memory_order_relaxed);
-    St.FallbacksFailed.fetch_add(1, std::memory_order_relaxed);
-  }
-  return fallbackTarget(Ord, P, Regs, Baked);
-}
-
-std::shared_ptr<CacheRecord> SpecServer::specializeAndPublishTenant(
-    TenantState &TS, uint32_t Ord, uint32_t PromoId, size_t Point,
-    const std::vector<Word> &Key, const std::vector<Word> &BakedVals,
-    const std::vector<Word> &KeyVals) {
-  std::lock_guard<std::recursive_mutex> Lock(SpecMutex);
-  // Recheck under the lock: the key may have been published into this
-  // tenant's view while the request sat in the queue.
-  if (std::shared_ptr<CacheRecord> Existing = TS.Cache.findRecord(Point, Key))
-    return Existing;
-
-  uint64_t DK = ChainStore::dedupKey(RegionContentHash[Ord], PromoId, Key,
-                                     FlagsFingerprint);
-  std::shared_ptr<CacheRecord> Rec;
-  StoredChain *SC = Store.find(DK, Ord, PromoId, Key);
-  if (SC) {
-    // Adoption: another tenant (or the warm-start file) already produced
-    // this chain. Publish a fresh record over the shared chain with fresh
-    // usage stats, so the tenant's CLOCK sees exactly what a dedicated
-    // server's would for a newly compiled chain.
-    Rec = std::make_shared<CacheRecord>();
-    Rec->Key = Key;
-    Rec->Hash = hashWords(Key);
-    Rec->Region = Ord;
-    Rec->PromoId = PromoId;
-    Rec->EntryPC = SC->EntryPC;
-    Rec->Chain = SC->Chain;
-    Rec->Use = std::make_shared<EntryStats>();
-    Rec->Use->ColdEntryPending.store(true, std::memory_order_release);
-    Rec->Ordinal = SC->Chain->Ordinal;
-    TS.St.DedupHits.fetch_add(1, std::memory_order_relaxed);
-    St.DedupHits.fetch_add(1, std::memory_order_relaxed);
-    if (SC->WarmLoaded) {
-      TS.St.WarmHits.fetch_add(1, std::memory_order_relaxed);
-      St.WarmHits.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    TenantState *PrevTenant = CurrentSpecTenant;
-    bool Prev = InSpecWorkerFlag;
-    CurrentSpecTenant = &TS;
-    InSpecWorkerFlag = true;
-    Rec = Core.specializeInto(Ord, *SpecVM, PromoId, Key, BakedVals, KeyVals);
-    InSpecWorkerFlag = Prev;
-    CurrentSpecTenant = PrevTenant;
-    // Global ledger: actual generating-extension runs only.
-    St.SpecRuns.fetch_add(1, std::memory_order_relaxed);
-    St.ChainsCreated.fetch_add(1, std::memory_order_relaxed);
-    StoredChain NewSC;
-    NewSC.DedupKey = DK;
-    NewSC.Ord = Ord;
-    NewSC.PromoId = PromoId;
-    NewSC.Key = Key;
-    NewSC.EntryPC = Rec->EntryPC;
-    NewSC.Chain = Rec->Chain;
-    SC = &Store.insert(std::move(NewSC));
-  }
-  // Tenant-view ledger: an adoption still counts as a specialization run
-  // and a created chain — the dedicated server this ledger must match
-  // would have compiled.
-  TS.St.SpecRuns.fetch_add(1, std::memory_order_relaxed);
-  TS.St.ChainsCreated.fetch_add(1, std::memory_order_relaxed);
-  SC->Refs++; // this tenant's publish reference
-  Rec->Point = Point;
-
-  for (const auto &D : TS.Cache.insert(Rec))
-    tenantDisplaced(TS, D);
-  tenantAdmit(TS, Rec);
-  return Rec;
-}
-
-void SpecServer::tenantAdmit(TenantState &TS, std::shared_ptr<CacheRecord> E) {
-  // Core::admit's CLOCK algorithm verbatim, over the tenant's book and the
-  // tenant quota budget, so a tenant's eviction sequence — and therefore
-  // every counter downstream of it — matches a dedicated server with the
-  // same ChainBudget. Victims release their store reference instead of
-  // being retired directly: another tenant may still run the chain.
-  TenantBook &B = TS.Books[E->Region];
-  const CacheRecord *Fresh = E.get();
-  B.Instrs += E->Chain ? E->Chain->Instrs : 0;
-  B.Records.push_back(std::move(E));
-
-  const CapacityBudget &Budget = Cfg.Quota.Budget;
-  auto OverBudget = [&] {
-    return (Budget.MaxEntries && B.Records.size() > Budget.MaxEntries) ||
-           (Budget.MaxInstrs && B.Instrs > Budget.MaxInstrs);
-  };
-  size_t Guard = 2 * B.Records.size() + 2;
-  while (OverBudget() && B.Records.size() > 1 && Guard--) {
-    if (B.Hand >= B.Records.size())
-      B.Hand = 0;
-    std::shared_ptr<CacheRecord> &Cand = B.Records[B.Hand];
-    if (Cand.get() == Fresh) {
-      ++B.Hand;
-      continue;
-    }
-    if (Cand->Use &&
-        Cand->Use->RefBit.exchange(false, std::memory_order_acq_rel)) {
-      ++B.Hand; // recently used: second chance
-      continue;
-    }
-    TS.Cache.erase(Cand.get());
-    TS.St.Evictions.fetch_add(1, std::memory_order_relaxed);
-    St.Evictions.fetch_add(1, std::memory_order_relaxed);
-    if (Cand->Chain) {
-      B.Instrs -= Cand->Chain->Instrs;
-      releaseStoreRef(Cand->Chain.get());
-    }
-    B.Records.erase(B.Records.begin() + static_cast<long>(B.Hand));
-    // Hand stays: it now points at the next record.
-  }
-}
-
-void SpecServer::tenantDisplaced(TenantState &TS,
-                                 const std::shared_ptr<CacheRecord> &E) {
-  // One-slot/indexed replacement: the tenant's cache already dropped the
-  // record; drop it from the book (Core::displaced's bookkeeping) and
-  // release the tenant's store reference. No ServerStats::Evictions bump —
-  // the dedicated server counts displacement only in its region stats.
-  TenantBook &B = TS.Books[E->Region];
-  for (size_t Idx = 0; Idx != B.Records.size(); ++Idx) {
-    if (B.Records[Idx].get() != E.get())
-      continue;
-    B.Instrs -= E->Chain ? E->Chain->Instrs : 0;
-    B.Records.erase(B.Records.begin() + static_cast<long>(Idx));
-    if (B.Hand > Idx)
-      --B.Hand;
-    break;
-  }
-  if (E->Chain)
-    releaseStoreRef(E->Chain.get());
-}
-
 void SpecServer::releaseStoreRef(const CodeChain *Chain) {
   // Last tenant let go: retire the chain exactly as the single-tenant
   // eviction paths do. Collection still waits for active executors to
@@ -863,20 +722,15 @@ void SpecServer::workerLoop() {
     if (Cfg.HoldCompiles)
       while (Cfg.HoldCompiles->load(std::memory_order_acquire))
         std::this_thread::sleep_for(std::chrono::microseconds(100));
-    std::shared_ptr<CacheRecord> Rec;
-    if (Cfg.MultiTenant) {
-      TenantState *TS = findTenant(Job->Id.Tenant);
-      assert(TS && "queued job for an unregistered tenant");
-      Rec = specializeAndPublishTenant(*TS, Job->RegionOrd, Job->PromoId,
-                                       Job->Id.Point, Job->Id.Key,
-                                       Job->BakedVals, Job->KeyVals);
-      // Release the tenant's in-flight slot before the future resolves: a
-      // blocked client's next miss must deterministically see it free.
+    TenantState *TS = Cfg.MultiTenant ? findTenant(Job->Id.Tenant) : nullptr;
+    assert((TS || !Cfg.MultiTenant) && "queued job for an unregistered tenant");
+    std::shared_ptr<CacheRecord> Rec =
+        specializeAndPublish(TS, Job->RegionOrd, Job->PromoId, Job->Id.Point,
+                             Job->Id.Key, Job->BakedVals, Job->KeyVals);
+    // Release the tenant's in-flight slot before the future resolves: a
+    // blocked client's next miss must deterministically see it free.
+    if (TS)
       TS->InFlightCompiles.fetch_sub(1, std::memory_order_acq_rel);
-    } else {
-      Rec = specializeAndPublish(Job->RegionOrd, Job->PromoId, Job->Id.Point,
-                                 Job->Id.Key, Job->BakedVals, Job->KeyVals);
-    }
     // Publish before unregistering: a misser either finds the job
     // in-flight (and joins this future) or misses it and re-probes the
     // cache, which already holds the record.
@@ -917,6 +771,14 @@ bool SpecServer::trimQuiescent(size_t *SnapshotsFreed, size_t *ChainsFreed) {
   return true;
 }
 
+size_t SpecServer::retiredSnapshots() const {
+  size_t N = Cache.retiredSnapshots();
+  std::shared_lock<std::shared_mutex> L(TenantsMutex);
+  for (const TenantState &TS : Tenants)
+    N += TS.Cache.retiredSnapshots();
+  return N;
+}
+
 void SpecServer::onDynamicCodeExit(vm::VM &, const vm::CodeObject *CO) {
   Core.releaseExecutor(CO);
 }
@@ -934,17 +796,6 @@ runtime::RegionStats SpecServer::regionStats(size_t Ordinal) const {
     RS.HotInstalls = T.HotInstalls;
     RS.OsrEntries = T.OsrEntries;
     RS.OsrPolls = T.OsrPolls;
-  } else {
-    // Untiered servers report hard zeros for the tier block — the tier
-    // controller is the only writer of these fields (regression-tested).
-    RS.TierEnabled = false;
-    RS.ColdExecs = RS.WarmExecs = RS.WarmPromotions = RS.HotPromotions = 0;
-    RS.HotInstalls = RS.OsrEntries = RS.OsrPolls = 0;
-  }
-  if (!RS.PlanEnabled) {
-    // Same contract for the staged-emit-plan block: the plan path is the
-    // only writer, so force hard zeros when it is off.
-    RS.PlanBuilds = RS.PlanHits = RS.PlanBytes = 0;
   }
   return RS;
 }

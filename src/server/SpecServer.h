@@ -28,6 +28,9 @@
 ///  * Capacity: per-region entry/instruction budgets with CLOCK eviction
 ///    (the core's capacity books). Evicted chains drain via the VM's
 ///    onDynamicCodeExit callback before they are freed.
+///  * Multi-tenancy (server/Tenant.h): the same dispatch and publish path
+///    runs over a per-tenant cache view, ledger and CLOCK books, and
+///    deduplicates chains across tenants through the chain store.
 ///
 /// All specialization serializes on one recursive mutex: the generating
 /// extension may re-enter the server (static calls at specialize time can
@@ -91,10 +94,11 @@ struct ServerConfig {
   /// client VM's Tenant id to that tenant's cache view, publications are
   /// deduplicated across tenants through the content-addressed chain
   /// store, Quota governs per-tenant admission and residency, and the
-  /// server-wide Budget above is unused (the tenant books replace the
-  /// core's capacity book). Tiering does not compose with multi-tenancy —
-  /// per-tenant heat parity is future work — so the constructor disables
-  /// it.
+  /// server-wide Budget above is unused (each tenant's per-region CLOCK
+  /// books run over Quota.Budget instead of the core's books, through the
+  /// same dispatch and publish path). Tiering does not compose with
+  /// multi-tenancy — per-tenant heat parity is future work — so the
+  /// constructor disables it.
   bool MultiTenant = false;
   TenantQuota Quota;
   /// Warm-start file (multi-tenant only): if non-empty, the constructor
@@ -153,7 +157,7 @@ public:
 
   ServerStatsSnapshot stats() const {
     ServerStatsSnapshot S = St.snapshot();
-    S.SnapshotsRetired = Cache.retiredSnapshots(); // currently in graveyard
+    S.SnapshotsRetired = retiredSnapshots(); // currently in graveyards
     S.CompileQueueDepth = Queue.pending();
     if (Tier) {
       S.TierEnabled = true;
@@ -165,13 +169,6 @@ public:
       S.HotInstalls = T.HotInstalls;
       S.OsrEntries = T.OsrEntries;
       S.OsrPolls = T.OsrPolls;
-    } else {
-      // Untiered servers report hard zeros: the tier block above is the
-      // only writer of these fields, so force them rather than trusting
-      // whatever path produced the snapshot (regression-tested).
-      S.TierEnabled = false;
-      S.ColdExecs = S.WarmExecs = S.WarmPromotions = S.HotPromotions = 0;
-      S.HotInstalls = S.OsrEntries = S.OsrPolls = 0;
     }
     {
       // Plan counters live in the core's per-region stats (single-threaded,
@@ -184,11 +181,6 @@ public:
         S.PlanBuilds += RS.PlanBuilds;
         S.PlanHits += RS.PlanHits;
         S.PlanBytes += RS.PlanBytes;
-      }
-      if (!S.PlanEnabled) {
-        // The plan path is the only writer of these fields; report hard
-        // zeros when it is off (same contract as the tier block above).
-        S.PlanBuilds = S.PlanHits = S.PlanBytes = 0;
       }
     }
     if (Cfg.MultiTenant) {
@@ -238,7 +230,9 @@ public:
   size_t residentEntries(size_t Ordinal) const;
   uint64_t residentInstrs(size_t Ordinal) const;
   size_t liveChains() const { return Core.liveChains(); }
-  size_t retiredSnapshots() const { return Cache.retiredSnapshots(); }
+  /// Snapshots awaiting reclamation in the server's cache and, on a
+  /// multi-tenant server, every tenant's cache view.
+  size_t retiredSnapshots() const;
   /// Disassembles a region's live code chains in creation order —
   /// bit-identical to the inline front end's dump for the same workload,
   /// since both render the core's chains.
@@ -249,58 +243,37 @@ public:
 
 private:
   /// Specializes (point, key) and publishes the result, rechecking the
-  /// cache first. Runs under SpecMutex; reentrant for nested misses.
+  /// cache first. With a tenant \p TS, publishes into the tenant's cache
+  /// view and CLOCK books, and adopts the chain store's copy of the chain
+  /// when one exists instead of running the generating extension. Runs
+  /// under SpecMutex; reentrant for nested misses.
   std::shared_ptr<CacheRecord>
-  specializeAndPublish(uint32_t Ord, uint32_t PromoId, size_t Point,
-                       const std::vector<Word> &Key,
+  specializeAndPublish(TenantState *TS, uint32_t Ord, uint32_t PromoId,
+                       size_t Point, const std::vector<Word> &Key,
                        const std::vector<Word> &BakedVals,
                        const std::vector<Word> &KeyVals);
 
-  // --- Multi-tenant path (all no-ops unless Cfg.MultiTenant) ------------------
+  /// Bumps \p Counter in the global ledger and, with \p TS, in the
+  /// tenant's ledger too.
+  void count(TenantState *TS, std::atomic<uint64_t> ServerStats::*Counter);
+
+  // --- Multi-tenant state ------------------------------------------------------
 
   /// Finds or registers tenant \p Id (exclusive lock on miss).
   TenantState &tenantState(uint32_t Id);
   /// Shared-lock probe; null for unregistered tenants.
   TenantState *findTenant(uint32_t Id) const;
 
-  /// The multi-tenant miss/hit continuation of dispatch(): per-tenant
-  /// cache probe, quota admission, job submission against the tenant's
-  /// in-flight gauge, and the Block/Fallback miss policies — mirroring
-  /// the single-tenant control flow so the tenant ledger stays
-  /// bit-identical to a dedicated server's.
-  Target dispatchTenant(vm::VM &ClientVM, TenantState &TS, uint32_t Ord,
-                        uint32_t PromoId, const bta::PromoPoint &P,
-                        size_t Point, WordSpan Key, size_t BakedWords,
-                        std::vector<Word> &Regs, uint64_t Now);
-
-  /// The multi-tenant twin of specializeAndPublish: consults the chain
-  /// store first and adopts a deduplicated chain when one exists,
-  /// otherwise runs the generating extension and registers the result;
-  /// publishes into the tenant's cache view and runs the tenant's CLOCK
-  /// book. Under SpecMutex; reentrant for nested misses.
-  std::shared_ptr<CacheRecord>
-  specializeAndPublishTenant(TenantState &TS, uint32_t Ord, uint32_t PromoId,
-                             size_t Point, const std::vector<Word> &Key,
-                             const std::vector<Word> &BakedVals,
-                             const std::vector<Word> &KeyVals);
-
-  /// Tenant mirror of Core.admit: accounts \p E against the tenant's
-  /// per-region budget and CLOCK-evicts victims from the tenant's cache,
-  /// releasing each victim's store reference. Under SpecMutex.
-  void tenantAdmit(TenantState &TS, std::shared_ptr<CacheRecord> E);
-  /// Tenant mirror of Core.displaced for one-slot/indexed replacement.
-  void tenantDisplaced(TenantState &TS,
-                       const std::shared_ptr<CacheRecord> &E);
   /// Drops one store reference from \p Chain; retires the chain (marks it
   /// evicted) when the last tenant lets go. Collection still waits for
   /// active executors at the safe point.
   void releaseStoreRef(const CodeChain *Chain);
 
-  /// Hands out a chain for execution, counting the executor in. With
-  /// \p ClientVM set (the multi-tenant path), the first entry of an
-  /// adopted record invalidates the chain's I-cache range in that client
-  /// so deduplication stays invisible — see EntryStats::ColdEntryPending.
-  Target enterChain(const CacheRecord &Rec, vm::VM *ClientVM = nullptr);
+  /// Hands out a chain for execution, counting the executor in. The first
+  /// entry of a record adopted from the chain store invalidates the
+  /// chain's I-cache range in \p ClientVM so deduplication stays
+  /// invisible — see EntryStats::ColdEntryPending.
+  Target enterChain(const CacheRecord &Rec, vm::VM &ClientVM);
   Target fallbackTarget(uint32_t Ord, const bta::PromoPoint &P,
                         std::vector<Word> &Regs,
                         const std::vector<Word> &BakedVals);

@@ -20,12 +20,16 @@
 ///    SpecRuns/ChainsCreated (a dedicated server would have compiled),
 ///    while the server's global ledger counts actual events only — the
 ///    difference is exactly the global DedupHits counter.
-///  * Each tenant owns per-region CLOCK books running the same algorithm
-///    as RegionExecutionCore::admit over the same ChainBudget semantics,
-///    so eviction decisions (and Evictions counters) match a dedicated
-///    server byte for byte. The core's global capacity book is bypassed
-///    in multi-tenant mode; chain release is refcounted through the
-///    ChainStore instead.
+///  * Each tenant owns per-region runtime::ClockBooks — the same type the
+///    core's capacity books are — over TenantQuota::Budget, so eviction
+///    decisions (and Evictions counters) match a dedicated server byte for
+///    byte. The core's own books are bypassed in multi-tenant mode; chain
+///    release is refcounted through the ChainStore instead.
+///
+/// Single- and multi-tenant servers share one dispatch and one publish
+/// path. Both take a TenantState pointer, null on a single-tenant server;
+/// a tenant selects its cache view and books and adds its ledger bumps
+/// next to the global ones.
 ///
 /// TenantStates live in a deque owned by the server and are created
 /// lazily by makeClientVM — before any dispatch can name the tenant — so
@@ -57,14 +61,6 @@ struct TenantQuota {
   CapacityBudget Budget;
 };
 
-/// CLOCK book of one region's resident entries in one tenant's view —
-/// the per-tenant mirror of RegionExecutionCore's RegionBook.
-struct TenantBook {
-  std::vector<std::shared_ptr<CacheRecord>> Records;
-  size_t Hand = 0;
-  uint64_t Instrs = 0;
-};
-
 /// Everything the server keeps per tenant. Not movable (ShardedCache owns
 /// mutexes); constructed in place in a deque.
 struct TenantState {
@@ -82,7 +78,7 @@ struct TenantState {
   /// Admission gauge for TenantQuota::MaxInFlightCompiles.
   std::atomic<uint32_t> InFlightCompiles{0};
   /// Per-region CLOCK books over TenantQuota::Budget.
-  std::vector<TenantBook> Books;
+  std::vector<runtime::ClockBook> Books;
 };
 
 } // namespace server

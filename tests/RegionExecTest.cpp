@@ -190,4 +190,148 @@ TEST(RegionExecCore, CodeCapHitsIsSoft) {
   EXPECT_EQ(E->RT->stats(0).SpecializationRuns, 1u);
 }
 
+// --- ClockBook ---------------------------------------------------------------
+
+// A resident entry with \p Instrs emitted instructions and its reference
+// bit set to \p Referenced.
+std::shared_ptr<runtime::SpecEntry> bookEntry(uint32_t Instrs,
+                                              bool Referenced = false) {
+  auto E = std::make_shared<runtime::SpecEntry>();
+  E->Chain = std::make_shared<runtime::CodeChain>();
+  E->Chain->Instrs = Instrs;
+  E->Use = std::make_shared<runtime::EntryStats>();
+  E->Use->RefBit.store(Referenced);
+  return E;
+}
+
+runtime::ChainBudget maxEntries(size_t N) {
+  runtime::ChainBudget B;
+  B.MaxEntries = N;
+  return B;
+}
+
+// Admits \p E into \p Book and returns the victims in eviction order.
+std::vector<const runtime::SpecEntry *>
+admitInto(runtime::ClockBook &Book, std::shared_ptr<runtime::SpecEntry> E,
+          const runtime::ChainBudget &Budget) {
+  std::vector<const runtime::SpecEntry *> Victims;
+  Book.admit(std::move(E), Budget, [&](const runtime::SpecEntry &V) {
+    Victims.push_back(&V);
+  });
+  return Victims;
+}
+
+using VictimList = std::vector<const runtime::SpecEntry *>;
+
+// A set reference bit buys one pass of the hand: the sweep clears it and
+// evicts the next clear record instead.
+TEST(ClockBook, ReferencedEntryGetsSecondChance) {
+  runtime::ClockBook Book;
+  auto A = bookEntry(1, /*Referenced=*/true), B = bookEntry(1);
+  EXPECT_TRUE(admitInto(Book, A, maxEntries(2)).empty());
+  EXPECT_TRUE(admitInto(Book, B, maxEntries(2)).empty());
+  EXPECT_EQ(admitInto(Book, bookEntry(1), maxEntries(2)),
+            VictimList{B.get()});
+  EXPECT_FALSE(A->Use->RefBit.load()); // the chance is spent
+  EXPECT_EQ(Book.size(), 2u);
+}
+
+// The hand skips the entry being admitted — even when every other entry
+// is referenced, the sweep laps back to an older one — and leaves its
+// reference bit alone.
+TEST(ClockBook, JustAdmittedEntryIsNeverTheVictim) {
+  runtime::ClockBook Book;
+  auto A = bookEntry(1, /*Referenced=*/true);
+  auto Fresh = bookEntry(1, /*Referenced=*/true);
+  admitInto(Book, A, maxEntries(1));
+  EXPECT_EQ(admitInto(Book, Fresh, maxEntries(1)), VictimList{A.get()});
+  EXPECT_TRUE(Fresh->Use->RefBit.load());
+  EXPECT_EQ(Book.size(), 1u);
+  EXPECT_EQ(Book.instrs(), 1u);
+
+  // A lone entry over budget stays: there is nothing else to evict.
+  runtime::ClockBook Lone;
+  runtime::ChainBudget Tight;
+  Tight.MaxInstrs = 4;
+  EXPECT_TRUE(admitInto(Lone, bookEntry(8), Tight).empty());
+  EXPECT_EQ(Lone.size(), 1u);
+}
+
+// remove() keeps the hand on the record it pointed at: on the next record
+// when the removed one was under the hand, on the same record when the
+// removed one sat before it.
+TEST(ClockBook, RemoveLeavesHandOnNextRecord) {
+  // Builds [A, C, D] with the hand on C: D's admission spends A's second
+  // chance and evicts B from under the hand.
+  auto Build = [](runtime::ClockBook &Book,
+                  std::vector<std::shared_ptr<runtime::SpecEntry>> &E) {
+    E = {bookEntry(1, /*Referenced=*/true), bookEntry(1), bookEntry(1),
+         bookEntry(1)};
+    for (size_t I = 0; I != 3; ++I)
+      admitInto(Book, E[I], maxEntries(3));
+    ASSERT_EQ(admitInto(Book, E[3], maxEntries(3)), VictimList{E[1].get()});
+  };
+
+  {
+    runtime::ClockBook Book;
+    std::vector<std::shared_ptr<runtime::SpecEntry>> E;
+    Build(Book, E);
+    Book.remove(E[2].get()); // C, under the hand
+    EXPECT_EQ(Book.size(), 2u);
+    EXPECT_EQ(admitInto(Book, bookEntry(1), maxEntries(2)),
+              VictimList{E[3].get()}); // the hand moved on to D
+  }
+  {
+    runtime::ClockBook Book;
+    std::vector<std::shared_ptr<runtime::SpecEntry>> E;
+    Build(Book, E);
+    Book.remove(E[0].get()); // A, before the hand
+    EXPECT_EQ(admitInto(Book, bookEntry(1), maxEntries(2)),
+              VictimList{E[2].get()}); // the hand stayed on C
+  }
+  {
+    runtime::ClockBook Book;
+    std::vector<std::shared_ptr<runtime::SpecEntry>> E;
+    Build(Book, E);
+    Book.remove(E[1].get()); // B, no longer resident: no-op
+    EXPECT_EQ(Book.size(), 3u);
+    EXPECT_EQ(Book.instrs(), 3u);
+  }
+}
+
+// An instruction budget drives the same sweep as an entry budget: with
+// equal-sized chains, MaxInstrs = k * size evicts exactly the victims
+// MaxEntries = k does, and the instruction total tracks the residents.
+TEST(ClockBook, InstrBudgetEvictsLikeEntryBudget) {
+  constexpr uint32_t Size = 10;
+  runtime::ChainBudget ByInstrs;
+  ByInstrs.MaxInstrs = 3 * Size;
+  const std::vector<bool> Refs = {false, true, false, true, true,
+                                  false, false, true, false, false};
+
+  auto Replay = [&](const runtime::ChainBudget &Budget,
+                    std::vector<size_t> &VictimIdx, runtime::ClockBook &Book) {
+    std::vector<std::shared_ptr<runtime::SpecEntry>> E;
+    for (size_t I = 0; I != Refs.size(); ++I) {
+      E.push_back(bookEntry(Size));
+      for (const runtime::SpecEntry *V : admitInto(Book, E.back(), Budget))
+        for (size_t J = 0; J != E.size(); ++J)
+          if (E[J].get() == V)
+            VictimIdx.push_back(J);
+      // Touch the entry after it is resident, as a hit would.
+      E.back()->Use->RefBit.store(Refs[I]);
+    }
+  };
+
+  runtime::ClockBook EntryBook, InstrBook;
+  std::vector<size_t> EntryVictims, InstrVictims;
+  Replay(maxEntries(3), EntryVictims, EntryBook);
+  Replay(ByInstrs, InstrVictims, InstrBook);
+  EXPECT_EQ(EntryVictims.size(), Refs.size() - 3);
+  EXPECT_EQ(InstrVictims, EntryVictims);
+  EXPECT_EQ(InstrBook.size(), 3u);
+  EXPECT_EQ(InstrBook.instrs(), 3u * Size);
+  EXPECT_EQ(EntryBook.instrs(), InstrBook.instrs());
+}
+
 } // namespace

@@ -3,8 +3,9 @@
 // Acceptance tests for the multi-tenant SpecServer: per-tenant counter
 // parity against a dedicated single-tenant server, cross-tenant chain
 // deduplication through the content-addressed store, refcounted release
-// under eviction churn, per-tenant quota admission, warm-start
-// serialization round-trips, and the untiered-counters regression.
+// under eviction churn, retired-snapshot accounting across tenant views,
+// per-tenant quota admission, warm-start serialization round-trips, and
+// the untiered-counters regression.
 //
 //===----------------------------------------------------------------------===//
 
@@ -237,6 +238,48 @@ TEST(Tenant, RefcountLifecycleUnderEvictionChurn) {
   EXPECT_EQ(S.SpecRuns, 4u);   // compiles: 3, 4, 5, 6
   EXPECT_EQ(S.DedupHits, 2u);  // tenant 2's and tenant 1's adoptions of 3
   EXPECT_EQ(S.ChainsCollected, 2u);
+}
+
+// Retired cache snapshots live in the tenant views on a multi-tenant
+// server: stats() and retiredSnapshots() must count them there, and agree
+// with a dedicated server and with what trimQuiescent then frees.
+TEST(Tenant, RetiredSnapshotsCountTenantViews) {
+  const std::vector<int64_t> Keys = {3, 4, 5, 6};
+  auto Replay = [&](SpecServer &Server, vm::VM &Client) {
+    int F = Server.findFunction("f");
+    for (int64_t N : Keys)
+      EXPECT_EQ(Client.run(static_cast<uint32_t>(F), {Word::fromInt(N)})
+                    .asInt(),
+                triangular(N));
+  };
+
+  auto RefCtx = compile(SumSrc);
+  ServerConfig RefCfg;
+  RefCfg.NumWorkers = 1;
+  RefCfg.Budget.MaxEntries = 1;
+  auto Ref = RefCtx->buildServer(OptFlags(), std::move(RefCfg));
+  auto RefVM = Ref->makeClientVM();
+  Replay(*Ref, *RefVM);
+  size_t Expected = Ref->retiredSnapshots();
+  ASSERT_GT(Expected, 0u);
+  EXPECT_EQ(Ref->stats().SnapshotsRetired, Expected);
+
+  auto Ctx = compile(SumSrc);
+  ServerConfig Cfg;
+  Cfg.NumWorkers = 1;
+  Cfg.Quota.Budget.MaxEntries = 1;
+  auto Server = Ctx->buildMultiTenant(OptFlags(), std::move(Cfg));
+  auto Client = Server->makeClientVM(1);
+  Replay(*Server, *Client);
+  EXPECT_EQ(Server->retiredSnapshots(), Expected);
+  EXPECT_EQ(Server->stats().SnapshotsRetired, Expected);
+  EXPECT_EQ(Server->tenantStats(1).SnapshotsRetired, Expected);
+
+  size_t Freed = 0;
+  ASSERT_TRUE(Server->trimQuiescent(&Freed, nullptr));
+  EXPECT_EQ(Freed, Expected);
+  EXPECT_EQ(Server->retiredSnapshots(), 0u);
+  EXPECT_EQ(Server->stats().SnapshotsRetired, 0u);
 }
 
 TEST(Tenant, QuotaRejectsMissesPastInFlightCap) {
