@@ -26,10 +26,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
 #include "core/DycContext.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,26 +81,6 @@ void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
 using namespace dyc;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
-
-double nowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct PathRun {
   uint64_t Dispatches = 0;
@@ -174,10 +154,10 @@ PathRun timeHits(Built &B, bool ICOn, uint64_t N) {
   PathRun R;
   R.Dispatches = N;
   uint64_t A0 = heapAllocs();
-  double T0 = nowSeconds();
+  double T0 = bench::nowSeconds();
   for (uint64_t I = 0; I != N; ++I)
     B.dispatch();
-  R.Seconds = nowSeconds() - T0;
+  R.Seconds = bench::nowSeconds() - T0;
   R.Allocs = heapAllocs() - A0;
   return R;
 }
@@ -192,12 +172,12 @@ PathRun timeMisses(Built &B, uint64_t N, uint64_t FirstKey) {
   PathRun R;
   R.Dispatches = N;
   uint64_t A0 = heapAllocs();
-  double T0 = nowSeconds();
+  double T0 = bench::nowSeconds();
   for (uint64_t I = 0; I != N; ++I) {
     B.setKey(FirstKey + I);
     B.dispatch();
   }
-  R.Seconds = nowSeconds() - T0;
+  R.Seconds = bench::nowSeconds() - T0;
   R.Allocs = heapAllocs() - A0;
   return R;
 }
@@ -248,13 +228,9 @@ void writeJson(const char *Path, const std::vector<Row> &Rows, bool Check,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = hasFlag(Argc, Argv, "--quick") ||
-               [] {
-                 const char *E = std::getenv("DYC_BENCH_QUICK");
-                 return E && E[0] == '1';
-               }();
-  bool Check = hasFlag(Argc, Argv, "--check");
-  const char *Json = jsonPath(Argc, Argv);
+  const bench::BenchArgs Args = bench::parseBenchArgs(Argc, Argv);
+  const bool Quick = Args.Quick, Check = Args.Check;
+  const char *Json = Args.Json;
 
   uint64_t HitN = Quick ? 200000 : 2000000;
   uint64_t MissN = Quick ? 500 : 5000;

@@ -16,13 +16,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
 #include "core/Harness.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,26 +29,6 @@ using workloads::Workload;
 using workloads::WorkloadSetup;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
-
-double nowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct EngineRun {
   uint64_t SimInstrs = 0; ///< simulated instructions in the timed segment
@@ -78,10 +56,10 @@ EngineRun runEngine(const Workload &W, vm::VM::EngineKind Engine,
 
   EngineRun R;
   uint64_t I0 = E->Machine->instrsExecuted();
-  double T0 = nowSeconds();
+  double T0 = bench::nowSeconds();
   for (uint64_t I = 0; I != Invokes; ++I)
     E->Machine->run(static_cast<uint32_t>(FI), S.RegionArgs);
-  R.Seconds = nowSeconds() - T0;
+  R.Seconds = bench::nowSeconds() - T0;
   R.SimInstrs = E->Machine->instrsExecuted() - I0;
   return R;
 }
@@ -138,13 +116,9 @@ void writeJson(const char *Path, const std::vector<Row> &Rows, bool Check,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = hasFlag(Argc, Argv, "--quick") ||
-               [] {
-                 const char *E = std::getenv("DYC_BENCH_QUICK");
-                 return E && E[0] == '1';
-               }();
-  bool Check = hasFlag(Argc, Argv, "--check");
-  const char *Json = jsonPath(Argc, Argv);
+  const bench::BenchArgs Args = bench::parseBenchArgs(Argc, Argv);
+  const bool Quick = Args.Quick, Check = Args.Check;
+  const char *Json = Args.Json;
 
   // The acceptance pair (dotproduct, pnmconvol) plus one float-heavy
   // kernel and one application with deep call structure.

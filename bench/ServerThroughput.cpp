@@ -19,33 +19,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
 #include "core/Harness.h"
 #include "server/SpecServer.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 using namespace dyc;
 
 namespace {
-
-bool quickMode(int Argc, char **Argv) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], "--quick") == 0)
-      return true;
-  const char *Env = std::getenv("DYC_BENCH_QUICK");
-  return Env && Env[0] == '1';
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 struct ThreadRow {
   unsigned Threads = 0;
@@ -201,10 +185,11 @@ void writeJson(const char *Path, bool Quick,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = quickMode(Argc, Argv);
+  const bench::BenchArgs Args = bench::parseBenchArgs(Argc, Argv);
+  const bool Quick = Args.Quick;
   std::vector<ThreadRow> Threads = threadSweep(Quick ? 50 : 2000);
   std::vector<CapacityRow> Capacity = capacitySweep(Quick ? 200 : 20000);
-  if (const char *Path = jsonPath(Argc, Argv))
-    writeJson(Path, Quick, Threads, Capacity);
+  if (Args.Json)
+    writeJson(Args.Json, Quick, Threads, Capacity);
   return 0;
 }

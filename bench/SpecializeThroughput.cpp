@@ -30,12 +30,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
 #include "core/Harness.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,20 +44,6 @@ using workloads::Workload;
 using workloads::WorkloadSetup;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 struct ModeRun {
   uint64_t SpecRuns = 0;        ///< respecialization iterations per rep
@@ -207,13 +192,9 @@ void writeJson(const char *Path, const std::vector<Row> &Rows,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = hasFlag(Argc, Argv, "--quick") ||
-               [] {
-                 const char *E = std::getenv("DYC_BENCH_QUICK");
-                 return E && E[0] == '1';
-               }();
-  bool Check = hasFlag(Argc, Argv, "--check");
-  const char *Json = jsonPath(Argc, Argv);
+  const bench::BenchArgs Args = bench::parseBenchArgs(Argc, Argv);
+  const bool Quick = Args.Quick, Check = Args.Check;
+  const char *Json = Args.Json;
 
   const std::vector<std::string> Names = {"binary", "chebyshev",
                                           "dotproduct", "query", "romberg"};

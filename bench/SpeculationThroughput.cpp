@@ -19,13 +19,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
 #include "core/Harness.h"
 #include "speculate/SpeculativeRuntime.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -34,26 +32,6 @@ using workloads::Workload;
 using workloads::WorkloadSetup;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
-
-double nowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 enum class Mode { Static, Annotated, Speculative };
 
@@ -84,10 +62,10 @@ std::unique_ptr<Run> measure(const Workload &W, Mode M, int Reps) {
   int MainIdx = R->E->findFunction(W.MainFunc);
   if (MainIdx < 0)
     fatal(W.Name + ": main function not found");
-  double T0 = nowSeconds();
+  double T0 = bench::nowSeconds();
   for (int I = 0; I != Reps; ++I)
     R->E->Machine->run(static_cast<uint32_t>(MainIdx), R->S.MainArgs);
-  R->Seconds = nowSeconds() - T0;
+  R->Seconds = bench::nowSeconds() - T0;
   R->Cycles = R->E->Machine->execCycles() + R->E->Machine->dynCompCycles();
   return R;
 }
@@ -151,13 +129,9 @@ void writeJson(const char *Path, const std::vector<Row> &Rows, int Reps,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = hasFlag(Argc, Argv, "--quick") ||
-               [] {
-                 const char *E = std::getenv("DYC_BENCH_QUICK");
-                 return E && E[0] == '1';
-               }();
-  bool Check = hasFlag(Argc, Argv, "--check");
-  const char *Json = jsonPath(Argc, Argv);
+  const bench::BenchArgs Args = bench::parseBenchArgs(Argc, Argv);
+  const bool Quick = Args.Quick, Check = Args.Check;
+  const char *Json = Args.Json;
 
   // Enough driver repetitions to amortize the one-time warm-up (HotCalls
   // generic executions plus the synthesis charge); --quick stays above

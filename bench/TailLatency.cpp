@@ -29,6 +29,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
 #include "core/Harness.h"
 #include "server/SpecServer.h"
 
@@ -36,34 +37,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 using namespace dyc;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-bool quickMode(int Argc, char **Argv) {
-  if (hasFlag(Argc, Argv, "--quick"))
-    return true;
-  const char *Env = std::getenv("DYC_BENCH_QUICK");
-  return Env && Env[0] == '1';
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 const char *SumSrc = "int f(int n) {\n"
                      "  int i;\n"
@@ -248,7 +226,8 @@ void writeJson(const char *Path, bool Quick, unsigned Tenants,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = quickMode(Argc, Argv);
+  const bench::BenchArgs Args = bench::parseBenchArgs(Argc, Argv);
+  const bool Quick = Args.Quick;
   const unsigned Tenants = Quick ? 2 : 4;
   const uint64_t ClientSpace = Quick ? 100000 : 4000000;
   const size_t NumKeys = Quick ? 32 : 256;
@@ -373,11 +352,11 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Dedup.DedupHits),
               ParityOk ? "held" : "FAILED");
 
-  if (const char *Path = jsonPath(Argc, Argv))
-    writeJson(Path, Quick, Tenants, ClientSpace, UniqueKeys, Dedup, Evict,
+  if (Args.Json)
+    writeJson(Args.Json, Quick, Tenants, ClientSpace, UniqueKeys, Dedup, Evict,
               DedupOk, ParityOk);
 
-  if (hasFlag(Argc, Argv, "--check") && !(DedupOk && ParityOk))
+  if (Args.Check && !(DedupOk && ParityOk))
     return 1;
   return 0;
 }

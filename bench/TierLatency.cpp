@@ -22,41 +22,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchSupport.h"
 #include "core/Harness.h"
 #include "server/SpecServer.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
 using namespace dyc;
 
 namespace {
-
-bool hasFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], Flag) == 0)
-      return true;
-  return false;
-}
-
-bool quickMode(int Argc, char **Argv) {
-  if (hasFlag(Argc, Argv, "--quick"))
-    return true;
-  const char *Env = std::getenv("DYC_BENCH_QUICK");
-  return Env && Env[0] == '1';
-}
-
-const char *jsonPath(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      return Argv[I + 1];
-  return nullptr;
-}
 
 // One specialization per distinct n; the unrolled body makes the
 // specializer cost per miss clearly visible next to a generic execution.
@@ -229,7 +207,8 @@ void writeJson(const char *Path, bool Quick, const ModeResult &Block,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Quick = quickMode(Argc, Argv);
+  const bench::BenchArgs Args = bench::parseBenchArgs(Argc, Argv);
+  const bool Quick = Args.Quick;
   const int64_t NumKeys = Quick ? 16 : 64;
   const int Rounds = Quick ? 20 : 50;
   const int ThroughputRounds = Quick ? 500 : 2000;
@@ -261,10 +240,10 @@ int main(int Argc, char **Argv) {
               P99Improved ? "improved" : "DID NOT IMPROVE", Block.P99Us,
               Tiered.P99Us, SteadyThroughputOk ? "held" : "REGRESSED");
 
-  if (const char *Path = jsonPath(Argc, Argv))
-    writeJson(Path, Quick, Block, Tiered, P99Improved, SteadyThroughputOk);
+  if (Args.Json)
+    writeJson(Args.Json, Quick, Block, Tiered, P99Improved, SteadyThroughputOk);
 
-  if (hasFlag(Argc, Argv, "--check") && !(P99Improved && SteadyThroughputOk))
+  if (Args.Check && !(P99Improved && SteadyThroughputOk))
     return 1;
   return 0;
 }

@@ -1,28 +1,23 @@
 //===- cogen/EmitPlan.cpp - Staged emit-plan builder -------------------------------===//
 //
 // Compiles a GenExtFunction into the emit program described in
-// EmitPlan.h. The builder is a *plan-time symbolic execution* of the
-// specializer's middle and bottom layers: for every EmitInstr it
-// re-traces exactly the path DeferralEngine::emitDynamic and
-// Emitter::emitResolved would take, with specialize-time values
-// abstracted to PlanRefs (plan-time literals, static-register reads,
-// derived expressions) and the deferral table tracked symbolically —
-// pending entries, copy/constant propagation through reads, dead-
-// assignment kills, forced materializations. Every chargeDynComp call
-// and every RegionStats bump the legacy engines would make is recorded
-// as a per-step count, which is what makes the plan bit-identical to
-// the walk by construction.
+// EmitPlan.h. For every EmitInstr the builder runs the specializer's own
+// emit-time engine (runtime::DeferralEngineT, the code the legacy walk
+// runs) over PlanDomain, a symbolic value domain: specialize-time values
+// are PlanRefs, the deferral table holds them, every accounting event is
+// counted into the open plan step, and emission appends pre-encoded
+// instructions and holes to the Copy template.
 //
-// Where the legacy decision tree forks on a *value* (zero/copy-
-// propagation 0/1 tests, power-of-two strength-reduction tests,
-// Div/Rem fold-failure tests), the builder compiles BOTH outcomes
-// behind a Branch guard and continues symbolically down each arm,
-// memoizing the assumption so the same test never re-forks on one
-// path. A small per-block guard budget bounds the expansion; a path
-// that exhausts it falls back to Generic steps for its remaining ops.
-// Before any Generic suffix — and at the end of every fully compiled
-// path — a Sync step reconstructs the live deferral table, so the
-// legacy interpreter and the driver's terminator handling observe
+// Where the decision tree tests a *value* the plan cannot know (zero/
+// copy-propagation 0/1 tests, power-of-two strength-reduction tests,
+// Div/Rem fold-failure tests), the domain throws NeedGuard; the builder
+// rolls the op back, compiles BOTH outcomes behind a Branch guard and
+// continues down each arm, memoizing the assumption so the same test
+// never re-forks on one path. A small per-block guard budget bounds the
+// expansion; a path that exhausts it falls back to Generic steps for its
+// remaining ops. Before any Generic suffix — and at the end of every
+// fully compiled path — a Sync step reconstructs the live deferral table,
+// so the legacy interpreter and the driver's terminator handling observe
 // exactly the state the walk would have left.
 //
 //===----------------------------------------------------------------------===//
@@ -30,7 +25,7 @@
 #include "cogen/EmitPlan.h"
 
 #include "ir/ConstEval.h"
-#include "runtime/Emitter.h"
+#include "runtime/Deferral.h"
 
 #include <cstdlib>
 #include <cstring>
@@ -43,40 +38,6 @@ using ir::Opcode;
 namespace v = vm;
 
 namespace {
-
-/// Plan-time image of an RVal: constness, the run-time register (dynamic
-/// operands), a still-pending symbolic producer link, and — for constants
-/// — the value as a PlanRef.
-struct SymVal {
-  bool IsConst = false;
-  uint32_t R = v::NoReg;
-  int32_t Dep = -1;
-  PlanRef C;
-
-  static SymVal reg(uint32_t R, int32_t Dep = -1) {
-    SymVal V;
-    V.R = R;
-    V.Dep = Dep;
-    return V;
-  }
-  static SymVal cst(PlanRef C) {
-    SymVal V;
-    V.IsConst = true;
-    V.C = C;
-    return V;
-  }
-};
-
-/// Plan-time image of one DeferredInstr.
-struct SymEntry {
-  Opcode Op = Opcode::Mov;
-  ir::Type Ty = ir::Type::I64;
-  uint32_t Dst = v::NoReg;
-  SymVal A, B;
-  PlanRef Imm;
-  bool FromZcp = false;
-  bool Pending = true;
-};
 
 /// Identity of one value test, for assumption memoization along a path.
 /// Literal refs never reach here (they decide immediately).
@@ -97,20 +58,125 @@ struct PredKey {
   }
 };
 
-/// Thrown when simulation reaches a value test with no recorded
-/// assumption: the caller rolls the op back and compiles a guard.
+PredKey predKey(PlanBranch::Pred Pk, const PlanRef &A, Word Cmp) {
+  return {static_cast<uint8_t>(Pk), static_cast<uint8_t>(A.K), A.Idx,
+          Cmp.Bits};
+}
+
+/// Thrown when the engine reaches a value test with no recorded
+/// assumption: the builder rolls the op back and compiles a guard.
 struct NeedGuard {
   PlanBranch::Pred P;
   PlanRef A;
   Word Cmp;
 };
 
-/// Builds one BlockPlan by symbolically executing the legacy walk.
+/// The symbolic value domain of the emit-time engine: values are PlanRefs,
+/// events count into the open plan step, and emission appends to the
+/// block's Copy template and hole list.
+class PlanDomain {
+public:
+  using Val = PlanRef;
+  struct Env {};
+
+  PlanDomain(BlockPlan &BP, PlanStep &Open,
+             const std::map<PredKey, bool> &Assumed)
+      : BP(BP), Open(Open), Assumed(Assumed) {}
+
+  template <runtime::EmitEvent E> void count() {
+    ++(Open.*runtime::EmitEvents[static_cast<size_t>(E)].Count);
+  }
+
+  void emitRaw(v::Instr I) {
+    BP.Template.push_back(I);
+    count<runtime::EmitEvent::Emit>();
+  }
+  /// A literal is baked into the template; anything else becomes a hole.
+  void emitRawImm(v::Instr I, const PlanRef &Ref, int64_t Add) {
+    if (Ref.K == PlanRef::Lit)
+      I.Imm = wrapAdd(static_cast<int64_t>(Ref.L.Bits), Add);
+    else
+      BP.Holes.push_back(
+          {static_cast<uint32_t>(BP.Template.size()), Add, Ref});
+    emitRaw(I);
+  }
+
+  static PlanRef staticVal(const Env &, uint32_t Reg) {
+    return PlanRef::stat(Reg);
+  }
+  static PlanRef lit(Word W) { return PlanRef::lit(W); }
+  static int64_t litInt(const PlanRef &R) {
+    assert(R.K == PlanRef::Lit && "load/store offsets are plan literals");
+    return R.L.asInt();
+  }
+
+  bool eqBits(const PlanRef &A, Word Cmp) {
+    return assume(PlanBranch::EqBits, A, Cmp);
+  }
+  bool pow2Ge2(const PlanRef &A) {
+    return assume(PlanBranch::Pow2Ge2, A, Word());
+  }
+
+  /// op(A, B) as a ref: folded now when both sides are plan literals
+  /// (the fold can't fail — the engine tested Div/Rem-by-zero first),
+  /// else a derived expression captured at the current step.
+  PlanRef eval(Opcode Op, const PlanRef &A, const PlanRef &B) {
+    if (A.K == PlanRef::Lit && B.K == PlanRef::Lit) {
+      Word Out;
+      if (ir::evalPureOp(Op, A.L, B.L, Out))
+        return PlanRef::lit(Out);
+    }
+    return newExpr(PlanExpr::Pure, Op, A, B);
+  }
+  PlanRef log2(const PlanRef &A) {
+    if (A.K == PlanRef::Lit)
+      return PlanRef::lit(Word::fromInt(log2OfPow2(A.L.asInt())));
+    return newExpr(PlanExpr::Log2, Opcode::Mov, A, PlanRef());
+  }
+  /// Refs stored into the table must survive until sync or a later
+  /// materialization, past set-up evaluation that may overwrite static
+  /// registers — so raw static reads are captured into the current step's
+  /// expression range (evaluated exactly when the walk reads them).
+  PlanRef capture(const PlanRef &R) {
+    if (R.K != PlanRef::Static)
+      return R;
+    return newExpr(PlanExpr::Pure, Opcode::Mov, R, PlanRef());
+  }
+
+private:
+  /// Resolves one value test: literals decide now; otherwise the path's
+  /// recorded assumption applies, or the op aborts to compile a guard.
+  bool assume(PlanBranch::Pred Pk, const PlanRef &A, Word Cmp) {
+    if (A.K == PlanRef::Lit) {
+      if (Pk == PlanBranch::EqBits)
+        return A.L.Bits == Cmp.Bits;
+      return runtime::Emitter::pow2Ge2(A.L);
+    }
+    auto It = Assumed.find(predKey(Pk, A, Cmp));
+    if (It != Assumed.end())
+      return It->second;
+    throw NeedGuard{Pk, A, Cmp};
+  }
+
+  PlanRef newExpr(PlanExpr::Kind K, Opcode Op, PlanRef A, PlanRef B) {
+    BP.Exprs.push_back({K, Op, A, B});
+    return PlanRef::expr(static_cast<uint32_t>(BP.Exprs.size()) - 1);
+  }
+
+  BlockPlan &BP;
+  PlanStep &Open;
+  const std::map<PredKey, bool> &Assumed;
+};
+
+using PlanEngine = runtime::DeferralEngineT<PlanDomain>;
+
+/// Builds one BlockPlan by running the emit-time engine over symbolic
+/// values.
 class BlockBuilder {
 public:
   BlockBuilder(const GenExtFunction &GX, const OptFlags &Flags,
                const GenBlock &GB)
-      : GX(GX), Flags(Flags), GB(GB) {}
+      : GX(GX), GB(GB), Dom(BP, Open, Assumed), Eng(Dom, Flags, GX) {}
 
   BlockPlan build(uint32_t CtxId) {
     buildFrom(0);
@@ -128,41 +194,34 @@ private:
   static constexpr size_t MaxGuards = 96;
 
   const GenExtFunction &GX;
-  const OptFlags &Flags;
   const GenBlock &GB;
   BlockPlan BP;
-
-  /// Per-path symbolic state (cloned at guards).
-  struct Path {
-    std::vector<SymEntry> Table;
-    std::map<uint32_t, size_t> Latest;
-    std::map<PredKey, bool> Assumed;
-  };
-  Path P;
   PlanStep Open;
   bool HaveOpen = false;
+  /// The value-test outcomes assumed on the current path (cloned at
+  /// guards, with the engine's table).
+  std::map<PredKey, bool> Assumed;
+  PlanDomain Dom;
+  PlanEngine Eng;
 
   /// Rollback image for one op's transactional simulation. An op never
-  /// pushes steps or evals, so table state, the open step, and the shared
+  /// pushes steps or evals, so the table, the open step, and the shared
   /// array cursors are the whole footprint. Assumptions are read-only
   /// during simulation.
   struct Snap {
-    std::vector<SymEntry> Table;
-    std::map<uint32_t, size_t> Latest;
+    PlanEngine::Table Table;
     PlanStep Open;
     bool HaveOpen;
     size_t NTemplate, NHoles, NExprs;
   };
 
-  Snap snapshot() const {
-    return {P.Table,          P.Latest,        Open,
-            HaveOpen,         BP.Template.size(), BP.Holes.size(),
-            BP.Exprs.size()};
+  Snap snapshot() {
+    return {Eng.table(),        Open,           HaveOpen,
+            BP.Template.size(), BP.Holes.size(), BP.Exprs.size()};
   }
 
   void rollback(Snap &&S) {
-    P.Table = std::move(S.Table);
-    P.Latest = std::move(S.Latest);
+    Eng.table() = std::move(S.Table);
     Open = S.Open;
     HaveOpen = S.HaveOpen;
     BP.Template.resize(S.NTemplate);
@@ -184,11 +243,11 @@ private:
       Open.ExprCount = static_cast<uint32_t>(BP.Exprs.size()) - Open.ExprFirst;
       // An op that reduced to nothing (a full-circle move) can leave a
       // step with no work and no charges: drop it.
+      bool Counted = false;
+      for (const runtime::EmitEventRow &Row : runtime::EmitEvents)
+        Counted |= Open.*Row.Count != 0;
       if (Open.Count == 0 && Open.HoleCount == 0 && Open.ExprCount == 0 &&
-          Open.EvalOps == 0 && Open.Emits == 0 && Open.EmitHoles == 0 &&
-          Open.ZcpChecks == 0 && Open.SrChecks == 0 && Open.TableOps == 0 &&
-          Open.ZcpApplied == 0 && Open.StrengthReduced == 0 &&
-          Open.DeadAssigns == 0 && Open.Materialized == 0)
+          !Counted)
         return;
     }
     BP.Steps.push_back(Open);
@@ -238,11 +297,12 @@ private:
   /// either way). Dead entries are dropped entirely: nothing downstream
   /// can observe them.
   void appendSync() {
-    std::vector<int32_t> Remap(P.Table.size(), -1);
+    const std::vector<PlanEngine::Entry> &Entries = Eng.table().Entries;
+    std::vector<int32_t> Remap(Entries.size(), -1);
     uint32_t First = static_cast<uint32_t>(BP.Syncs.size());
     uint32_t Count = 0;
-    for (size_t I = 0; I != P.Table.size(); ++I) {
-      const SymEntry &E = P.Table[I];
+    for (size_t I = 0; I != Entries.size(); ++I) {
+      const PlanEngine::Entry &E = Entries[I];
       if (!E.Pending)
         continue;
       Remap[I] = static_cast<int32_t>(Count++);
@@ -253,7 +313,6 @@ private:
       S.A = syncOperand(E.A, Remap);
       S.B = syncOperand(E.B, Remap);
       S.Imm = E.Imm;
-      S.FromZcp = E.FromZcp;
       BP.Syncs.push_back(S);
     }
     if (!Count)
@@ -265,7 +324,7 @@ private:
     BP.Steps.push_back(S);
   }
 
-  static PlanSync::Operand syncOperand(const SymVal &V,
+  static PlanSync::Operand syncOperand(const PlanEngine::RV &V,
                                        const std::vector<int32_t> &Remap) {
     PlanSync::Operand O;
     O.IsConst = V.IsConst;
@@ -304,7 +363,7 @@ private:
         E.Dst = Op.Dst;
         E.Imm = Op.Imm;
         BP.Evals.push_back(E);
-        ++Open.EvalOps;
+        Dom.count<runtime::EmitEvent::EvalOp>();
         continue;
       }
       case SetupOp::Eval: {
@@ -316,7 +375,7 @@ private:
         E.A = Op.A.R;
         E.B = Op.B.R; // ir::NoReg when unary
         BP.Evals.push_back(E);
-        ++Open.EvalOps;
+        Dom.count<runtime::EmitEvent::EvalOp>();
         continue;
       }
       case SetupOp::EvalLoad: {
@@ -327,7 +386,7 @@ private:
         E.A = Op.A.R;
         E.Imm = Op.Imm;
         BP.Evals.push_back(E);
-        ++Open.StaticLoads;
+        Dom.count<runtime::EmitEvent::StaticLoad>();
         continue;
       }
       case SetupOp::EvalCall:
@@ -341,7 +400,8 @@ private:
           flush();
         Snap S = snapshot();
         try {
-          simEmit(Op);
+          openCopy();
+          Eng.emitDynamic(Op, PlanDomain::Env{});
         } catch (NeedGuard &G) {
           rollback(std::move(S));
           flush();
@@ -361,13 +421,15 @@ private:
           BP.Steps.push_back(BS);
 
           PredKey K = predKey(G.P, G.A, G.Cmp);
-          Path Saved = P;
+          PlanEngine::Table SavedTable = Eng.table();
+          std::map<PredKey, bool> SavedAssumed = Assumed;
           BP.Branches[BI].True = static_cast<uint32_t>(BP.Steps.size());
-          P.Assumed[K] = true;
+          Assumed[K] = true;
           buildFrom(I);
-          P = std::move(Saved);
+          Eng.table() = std::move(SavedTable);
+          Assumed = std::move(SavedAssumed);
           BP.Branches[BI].False = static_cast<uint32_t>(BP.Steps.size());
-          P.Assumed[K] = false;
+          Assumed[K] = false;
           buildFrom(I);
           return;
         }
@@ -378,472 +440,6 @@ private:
     flush();
     appendSync();
     appendEnd();
-  }
-
-  // -- Assumption machinery --------------------------------------------------
-
-  static PredKey predKey(PlanBranch::Pred Pk, const PlanRef &A, Word Cmp) {
-    return {static_cast<uint8_t>(Pk), static_cast<uint8_t>(A.K), A.Idx,
-            Cmp.Bits};
-  }
-
-  /// Resolves one value test: literals decide now; otherwise the path's
-  /// recorded assumption applies, or the op aborts to compile a guard.
-  bool assume(PlanBranch::Pred Pk, const PlanRef &A, Word Cmp) {
-    if (A.K == PlanRef::Lit) {
-      if (Pk == PlanBranch::EqBits)
-        return A.L.Bits == Cmp.Bits;
-      int64_t V = A.L.asInt();
-      return isPowerOf2(V) && V >= 2;
-    }
-    auto It = P.Assumed.find(predKey(Pk, A, Cmp));
-    if (It != P.Assumed.end())
-      return It->second;
-    throw NeedGuard{Pk, A, Cmp};
-  }
-
-  // -- Value plumbing --------------------------------------------------------
-
-  uint32_t newExpr(PlanExpr::Kind K, Opcode Op, PlanRef A, PlanRef B) {
-    PlanExpr E;
-    E.K = K;
-    E.Op = Op;
-    E.A = A;
-    E.B = B;
-    BP.Exprs.push_back(E);
-    return static_cast<uint32_t>(BP.Exprs.size()) - 1;
-  }
-
-  /// op(A, B) as a ref: folded now when both sides are plan literals
-  /// (the fold can't fail — Div/Rem-by-zero was guarded by the caller),
-  /// else a derived expression captured at the current step.
-  PlanRef symEval(Opcode Op, PlanRef A, PlanRef B) {
-    if (A.K == PlanRef::Lit && B.K == PlanRef::Lit) {
-      Word Out;
-      if (ir::evalPureOp(Op, A.L, B.L, Out))
-        return PlanRef::lit(Out);
-    }
-    return PlanRef::expr(newExpr(PlanExpr::Pure, Op, A, B));
-  }
-
-  PlanRef log2Ref(PlanRef A) {
-    if (A.K == PlanRef::Lit)
-      return PlanRef::lit(Word::fromInt(log2OfPow2(A.L.asInt())));
-    return PlanRef::expr(newExpr(PlanExpr::Log2, Opcode::Mov, A, PlanRef()));
-  }
-
-  /// Refs stored into the symbolic table must survive until sync or a
-  /// later materialization, past set-up evaluation that may overwrite
-  /// static registers — so raw static reads are captured into the current
-  /// step's expression range (evaluated exactly when the legacy walk
-  /// would have read them).
-  PlanRef stabilize(PlanRef R) {
-    if (R.K != PlanRef::Static)
-      return R;
-    return PlanRef::expr(newExpr(PlanExpr::Pure, Opcode::Mov, R, PlanRef()));
-  }
-
-  SymVal stabilizeVal(SymVal V) {
-    if (V.IsConst)
-      V.C = stabilize(V.C);
-    return V;
-  }
-
-  // -- Copy-template mirror of the Emitter primitives -----------------------
-
-  void raw(v::Instr I) {
-    BP.Template.push_back(I);
-    ++Open.Emits;
-  }
-
-  /// emitRaw whose Imm field is bits(\p Ref) + \p Add (no hole charge —
-  /// the legacy site writes the field directly).
-  void rawImm(v::Instr I, PlanRef Ref, int64_t Add) {
-    if (Ref.K == PlanRef::Lit) {
-      I.Imm = static_cast<int64_t>(Ref.L.Bits) + Add;
-      raw(I);
-      return;
-    }
-    PlanHole H;
-    H.InstrIdx = static_cast<uint32_t>(BP.Template.size());
-    H.Add = Add;
-    H.Ref = Ref;
-    BP.Holes.push_back(H);
-    raw(I);
-  }
-
-  /// Emitter::emitConst: one hole charge, then the constant instruction.
-  /// ConstI's C.asInt() and ConstF's C.Bits are the same 64-bit image.
-  void emitConstSym(uint32_t Dst, PlanRef C, ir::Type Ty) {
-    ++Open.EmitHoles;
-    rawImm({Ty == ir::Type::F64 ? v::Op::ConstF : v::Op::ConstI, Dst}, C, 0);
-  }
-
-  static int64_t litImm(const PlanRef &R) {
-    assert(R.K == PlanRef::Lit && "load/store offsets are plan literals");
-    return R.L.asInt();
-  }
-
-  /// Plan-time mirror of Emitter::emitResolved (operands carrying a
-  /// still-pending producer were forced by the caller, as in the legacy
-  /// engine).
-  void emitResolvedSym(Opcode Op, ir::Type Ty, uint32_t Dst, const SymVal &A,
-                       const SymVal &B, PlanRef Imm) {
-    switch (Op) {
-    case Opcode::ConstI:
-    case Opcode::ConstF:
-      emitConstSym(Dst, Imm, Ty);
-      return;
-    case Opcode::Mov:
-      if (A.IsConst) {
-        emitConstSym(Dst, A.C, Ty);
-      } else if (A.R != Dst) {
-        raw({Ty == ir::Type::F64 ? v::Op::FMov : v::Op::Mov, Dst, A.R});
-      }
-      return;
-    case Opcode::Neg:
-    case Opcode::FNeg:
-    case Opcode::IToF:
-    case Opcode::FToI:
-      if (A.IsConst) {
-        // evalPureOp never fails on these unary forms.
-        emitConstSym(Dst, symEval(Op, A.C, PlanRef()), Ty);
-        return;
-      }
-      raw({runtime::vmOpOf(Op), Dst, A.R});
-      return;
-    case Opcode::Load:
-      if (A.IsConst) {
-        ++Open.EmitHoles;
-        rawImm({v::Op::LoadAbs, Dst}, A.C, litImm(Imm));
-      } else {
-        raw({v::Op::Load, Dst, A.R, 0, litImm(Imm)});
-      }
-      return;
-    case Opcode::Store: {
-      // A = address, B = value.
-      uint32_t ValReg = B.R;
-      if (B.IsConst) {
-        emitConstSym(GX.Scratch0, B.C, ir::Type::I64);
-        ValReg = GX.Scratch0;
-      }
-      if (A.IsConst) {
-        ++Open.EmitHoles;
-        rawImm({v::Op::StoreAbs, ValReg}, A.C, litImm(Imm));
-      } else {
-        raw({v::Op::Store, ValReg, A.R, 0, litImm(Imm)});
-      }
-      return;
-    }
-    default:
-      break;
-    }
-
-    // Binary arithmetic / comparison.
-    if (A.IsConst && B.IsConst) {
-      bool Folds = true;
-      if (Op == Opcode::Div || Op == Opcode::Rem)
-        Folds = !assume(PlanBranch::EqBits, B.C, Word::fromInt(0));
-      if (Folds) {
-        emitConstSym(Dst, symEval(Op, A.C, B.C), Ty);
-        return;
-      }
-      // Unfoldable (division by zero): emit faithfully so the fault
-      // happens at run time, as it would have in static code.
-      emitConstSym(GX.Scratch0, A.C, ir::Type::I64);
-      emitConstSym(GX.Scratch1, B.C, ir::Type::I64);
-      raw({runtime::vmOpOf(Op), Dst, GX.Scratch0, GX.Scratch1});
-      return;
-    }
-    if (!A.IsConst && B.IsConst) {
-      v::Op IF = runtime::immFormOf(Op);
-      if (IF != v::Op::Halt) {
-        ++Open.EmitHoles;
-        rawImm({IF, Dst, A.R}, B.C, 0);
-        return;
-      }
-      bool FloatOperand = Op == Opcode::FCmpEq || Op == Opcode::FCmpNe ||
-                          Op == Opcode::FCmpLt || Op == Opcode::FCmpLe ||
-                          Op == Opcode::FCmpGt || Op == Opcode::FCmpGe;
-      emitConstSym(GX.Scratch1, B.C,
-                   FloatOperand ? ir::Type::F64 : ir::Type::I64);
-      raw({runtime::vmOpOf(Op), Dst, A.R, GX.Scratch1});
-      return;
-    }
-    if (A.IsConst && !B.IsConst) {
-      if (runtime::isCommutativeOpcode(Op)) {
-        emitResolvedSym(Op, Ty, Dst, B, A, Imm);
-        return;
-      }
-      Opcode Mirrored = runtime::mirrorCompare(Op);
-      if (Mirrored != Op) {
-        emitResolvedSym(Mirrored, Ty, Dst, B, A, Imm);
-        return;
-      }
-      bool FloatOperand = Op == Opcode::FSub || Op == Opcode::FDiv;
-      emitConstSym(GX.Scratch0, A.C,
-                   FloatOperand ? ir::Type::F64 : ir::Type::I64);
-      raw({runtime::vmOpOf(Op), Dst, GX.Scratch0, B.R});
-      return;
-    }
-    raw({runtime::vmOpOf(Op), Dst, A.R, B.R});
-  }
-
-  // -- Symbolic DeferralEngine ----------------------------------------------
-
-  void materialize(size_t Idx) {
-    SymEntry &D = P.Table[Idx];
-    if (!D.Pending)
-      return;
-    D.Pending = false;
-    auto It = P.Latest.find(D.Dst);
-    if (It != P.Latest.end() && It->second == Idx)
-      P.Latest.erase(It);
-    ++Open.Materialized;
-    force(D.A);
-    force(D.B);
-    emitResolvedSym(D.Op, D.Ty, D.Dst, D.A, D.B, D.Imm);
-  }
-
-  void force(const SymVal &A) {
-    if (A.Dep >= 0 && P.Table[static_cast<size_t>(A.Dep)].Pending)
-      materialize(static_cast<size_t>(A.Dep));
-  }
-
-  SymVal readResolve(uint32_t Reg) {
-    uint32_t Cur = Reg;
-    while (true) {
-      auto It = P.Latest.find(Cur);
-      if (It == P.Latest.end())
-        return SymVal::reg(Cur);
-      SymEntry &D = P.Table[It->second];
-      ++Open.TableOps; // charge(CM.SpecZcpTableOp)
-      if (D.Op == Opcode::Mov) {
-        if (D.A.IsConst)
-          return D.A;
-        Cur = D.A.R;
-        continue;
-      }
-      if (D.Op == Opcode::ConstI || D.Op == Opcode::ConstF)
-        return SymVal::cst(D.Imm);
-      return SymVal::reg(Cur, static_cast<int32_t>(It->second));
-    }
-  }
-
-  SymVal resolve(const Operand &O) {
-    if (O.R == ir::NoReg)
-      return SymVal();
-    if (O.Static)
-      return SymVal::cst(PlanRef::stat(O.R));
-    return readResolve(O.R);
-  }
-
-  void writeEvent(uint32_t Dst) {
-    if (Dst == v::NoReg)
-      return;
-    for (size_t I = 0; I != P.Table.size(); ++I) {
-      SymEntry &D = P.Table[I];
-      if (!D.Pending)
-        continue;
-      if ((!D.A.IsConst && D.A.R == Dst) || (!D.B.IsConst && D.B.R == Dst))
-        materialize(I);
-    }
-    auto It = P.Latest.find(Dst);
-    if (It != P.Latest.end()) {
-      SymEntry &D = P.Table[It->second];
-      if (D.Pending) {
-        D.Pending = false;
-        ++Open.DeadAssigns; // ++Stats.DeadAssignsEliminated
-        ++Open.TableOps;    // charge(CM.SpecZcpTableOp)
-      }
-      P.Latest.erase(It);
-    }
-  }
-
-  void memoryClobber() {
-    for (size_t I = 0; I != P.Table.size(); ++I)
-      if (P.Table[I].Pending && P.Table[I].Op == Opcode::Load)
-        materialize(I);
-  }
-
-  void deferOrEmit(const SetupOp &Op, Opcode FormOp, ir::Type Ty, uint32_t Dst,
-                   const SymVal &A, const SymVal &B, PlanRef Imm,
-                   bool FromZcp) {
-    writeEvent(Dst);
-    if (Op.Deferrable) {
-      ++Open.TableOps; // charge(CM.SpecZcpTableOp)
-      SymEntry D;
-      D.Op = FormOp;
-      D.Ty = Ty;
-      D.Dst = Dst;
-      D.A = stabilizeVal(A);
-      D.B = stabilizeVal(B);
-      D.Imm = stabilize(Imm);
-      D.FromZcp = FromZcp;
-      P.Table.push_back(D);
-      P.Latest[Dst] = P.Table.size() - 1;
-      return;
-    }
-    force(A);
-    force(B);
-    emitResolvedSym(FormOp, Ty, Dst, A, B, Imm);
-  }
-
-  /// Plan-time mirror of DeferralEngine::emitDynamic.
-  void simEmit(const SetupOp &Op) {
-    openCopy();
-
-    if (Op.Op == Opcode::Call || Op.Op == Opcode::CallExt) {
-      std::vector<SymVal> Args;
-      Args.reserve(Op.Args.size());
-      for (const Operand &A : Op.Args)
-        Args.push_back(resolve(A));
-      memoryClobber();
-      writeEvent(Op.Dst);
-      for (size_t I = 0; I != Args.size(); ++I) {
-        uint32_t Stage = GX.StageBase + static_cast<uint32_t>(I);
-        ir::Type ArgTy = GX.RegTypes[Op.Args[I].R];
-        force(Args[I]);
-        emitResolvedSym(Opcode::Mov, ArgTy, Stage, Args[I], SymVal(),
-                        PlanRef());
-      }
-      raw({Op.Op == Opcode::Call ? v::Op::Call : v::Op::CallExt,
-           Op.Dst == ir::NoReg ? v::NoReg : Op.Dst, GX.StageBase,
-           static_cast<uint32_t>(Args.size()), Op.Callee});
-      return;
-    }
-
-    SymVal A = resolve(Op.A);
-    SymVal B = resolve(Op.B);
-
-    // A move that resolves to its own destination (copy propagation came
-    // full circle) is a no-op: the register already holds the value.
-    if (Op.Op == Opcode::Mov && !A.IsConst && A.R == Op.Dst)
-      return;
-
-    if (Op.Op == Opcode::Store) {
-      memoryClobber();
-      force(A);
-      force(B);
-      emitResolvedSym(Opcode::Store, ir::Type::I64, v::NoReg, A, B,
-                      PlanRef::lit(Word::fromInt(Op.Imm)));
-      return;
-    }
-
-    // Dynamic constant folding: propagation can turn both operands into
-    // constants. The fold fails only for integer division by a
-    // zero-valued constant — that test guards.
-    if (ir::isEvaluableOp(Op.Op) && A.IsConst &&
-        (runtime::isUnaryOpcode(Op.Op) || B.IsConst)) {
-      bool Folds = true;
-      if (Op.Op == Opcode::Div || Op.Op == Opcode::Rem)
-        Folds = !assume(PlanBranch::EqBits, B.C, Word::fromInt(0));
-      if (Folds) {
-        ++Open.EvalOps; // charge(CM.SpecEvalOp)
-        deferOrEmit(Op,
-                    Op.Ty == ir::Type::F64 ? Opcode::ConstF : Opcode::ConstI,
-                    Op.Ty, Op.Dst, SymVal(), SymVal(),
-                    symEval(Op.Op, A.C, B.IsConst ? B.C : PlanRef()),
-                    /*FromZcp=*/false);
-        return;
-      }
-    }
-
-    // Staged zero/copy propagation (section 2.2.7): a special value of
-    // the single constant operand reduces the operation to a move or a
-    // clear. The 0/1 tests guard.
-    bool OneConst = A.IsConst != B.IsConst;
-    if (Flags.ZeroCopyPropagation && OneConst) {
-      ++Open.ZcpChecks; // charge(CM.SpecZcpTableOp)
-      const SymVal &CS = A.IsConst ? A : B;
-      const SymVal &DS = A.IsConst ? B : A;
-      bool ConstOnRight = B.IsConst;
-      bool IsFloat = Op.Ty == ir::Type::F64;
-      Word One = IsFloat ? Word::fromFloat(1.0) : Word::fromInt(1);
-      Word Zero = IsFloat ? Word::fromFloat(0.0) : Word::fromInt(0);
-      bool RewriteToMove = false, RewriteToClear = false;
-      switch (Op.Op) {
-      case Opcode::Mul:
-      case Opcode::FMul:
-        RewriteToMove = assume(PlanBranch::EqBits, CS.C, One);
-        RewriteToClear =
-            !RewriteToMove && assume(PlanBranch::EqBits, CS.C, Zero);
-        break;
-      case Opcode::Add:
-      case Opcode::FAdd:
-        RewriteToMove = assume(PlanBranch::EqBits, CS.C, Zero);
-        break;
-      case Opcode::Sub:
-      case Opcode::FSub:
-        RewriteToMove = ConstOnRight && assume(PlanBranch::EqBits, CS.C, Zero);
-        break;
-      case Opcode::Div:
-      case Opcode::FDiv:
-        RewriteToMove = ConstOnRight && assume(PlanBranch::EqBits, CS.C, One);
-        break;
-      default:
-        break;
-      }
-      if (RewriteToMove) {
-        ++Open.ZcpApplied;
-        deferOrEmit(Op, Opcode::Mov, Op.Ty, Op.Dst, DS, SymVal(), PlanRef(),
-                    /*FromZcp=*/true);
-        return;
-      }
-      if (RewriteToClear) {
-        ++Open.ZcpApplied;
-        deferOrEmit(Op, IsFloat ? Opcode::ConstF : Opcode::ConstI, Op.Ty,
-                    Op.Dst, SymVal(), SymVal(), PlanRef::lit(Zero),
-                    /*FromZcp=*/true);
-        return;
-      }
-    }
-
-    // Strength reduction (section 2.2.7): integer multiply/divide/
-    // remainder by a power of two become shifts and masks. The
-    // power-of-two test guards — but only where the legacy path inspects
-    // its outcome (Mul either side, Div/Rem with the constant on the
-    // right); elsewhere the check is charged and falls through.
-    if (Flags.StrengthReduction && OneConst &&
-        (Op.Op == Opcode::Mul || Op.Op == Opcode::Div ||
-         Op.Op == Opcode::Rem)) {
-      ++Open.SrChecks; // charge(CM.SpecStrengthCheck)
-      const SymVal &CS = A.IsConst ? A : B;
-      const SymVal &DS = A.IsConst ? B : A;
-      bool ConstOnRight = B.IsConst;
-      bool Relevant = Op.Op == Opcode::Mul || ConstOnRight;
-      if (Relevant && assume(PlanBranch::Pow2Ge2, CS.C, Word())) {
-        if (Op.Op == Opcode::Mul) {
-          ++Open.StrengthReduced;
-          deferOrEmit(Op, Opcode::Shl, Op.Ty, Op.Dst, DS,
-                      SymVal::cst(log2Ref(CS.C)), PlanRef(), false);
-          return;
-        }
-        // Exact shift sequence (C truncates toward zero, so negative
-        // dividends need the bias fixup) — the same code an optimizing
-        // static compiler emits for constant power-of-two divisors.
-        ++Open.StrengthReduced;
-        force(DS);
-        writeEvent(Op.Dst);
-        PlanRef K = log2Ref(CS.C);
-        uint32_t X = DS.R;
-        uint32_t S0 = GX.Scratch0;
-        raw({v::Op::ShrI, S0, X, 0, 63});
-        rawImm({v::Op::AndI, S0, S0}, CS.C, -1); // C - 1
-        raw({v::Op::Add, S0, X, S0});
-        if (Op.Op == Opcode::Div) {
-          rawImm({v::Op::ShrI, Op.Dst, S0}, K, 0);
-        } else {
-          rawImm({v::Op::ShrI, S0, S0}, K, 0);
-          rawImm({v::Op::ShlI, S0, S0}, K, 0);
-          raw({v::Op::Sub, Op.Dst, X, S0});
-        }
-        return;
-      }
-    }
-
-    deferOrEmit(Op, Op.Op, Op.Ty, Op.Dst, A, B,
-                PlanRef::lit(Word::fromInt(Op.Imm)), /*FromZcp=*/false);
   }
 };
 

@@ -38,13 +38,13 @@
 ///    block's guard budget).
 ///  * End — terminates the current path of the step program.
 ///
-/// The builder is a plan-time *symbolic execution* of the DeferralEngine:
-/// it tracks the deferral table (pending entries, copy/constant
-/// propagation, dead-assignment kills, forced materializations) with
-/// values abstracted to PlanRefs — plan-time literals, static-register
-/// reads, or derived expressions — and mirrors every chargeDynComp call
-/// and every RegionStats bump the legacy engine would make, replayed as
-/// per-step counts. That is what keeps every simulated counter
+/// The builder runs the specializer's own emit-time engine
+/// (runtime/Deferral.h) — the same decision tree, deferral table and
+/// encoder the legacy walk runs — instantiated over a symbolic value
+/// domain: values are PlanRefs (plan-time literals, static-register reads,
+/// or derived expressions), every accounting event is counted into the
+/// open step, and emission appends to the Copy template. No second copy of
+/// the optimizations exists, which is what keeps every simulated counter
 /// (DynCompCycles included) and every emitted chain bit-identical plan
 /// on/off.
 ///
@@ -143,10 +143,10 @@ struct PlanEval {
 /// links (Dep) remapped to the compacted indices (links to entries that
 /// already died are cleared — forceOperand skips them either way).
 struct PlanSync {
-  /// A symbolic RVal: a register (possibly linked to an earlier pending
-  /// entry) or a constant whose value is resolved at sync time from the
-  /// ref (refs stored into the table are always sync-stable: literals or
-  /// captured expressions).
+  /// A symbolic resolved operand: a register (possibly linked to an
+  /// earlier pending entry) or a constant whose value is resolved at sync
+  /// time from the ref (refs stored into the table are always sync-stable:
+  /// literals or captured expressions).
   struct Operand {
     bool IsConst = false;
     uint32_t R = vm::NoReg;
@@ -158,7 +158,6 @@ struct PlanSync {
   uint32_t Dst = vm::NoReg;
   Operand A, B;
   PlanRef Imm;
-  bool FromZcp = false;
 };
 
 /// One step of a block's emit program. Execution is PC-driven: most steps
@@ -179,12 +178,14 @@ struct PlanStep {
   /// evaluated into the expression scratch before the template copy.
   uint32_t ExprFirst = 0;
   uint32_t ExprCount = 0;
-  /// Aggregated charge replay, as *counts* (the cost model is per-VM, so
-  /// cycles are computed at run time). EvalRun uses EvalOps/StaticLoads;
-  /// Copy uses the rest. TableOps replays the deferral engine's
-  /// SpecZcpTableOp charges (inserts, resolve hops, dead-kills);
-  /// ZcpChecks the zero/copy candidate tests (same rate, kept separate
-  /// for readability); SrChecks the strength-reduction tests.
+  /// Aggregated charge replay, as *counts* of the emit-time engine's
+  /// accounting events (the cost model is per-VM, so cycles are computed
+  /// at run time through runtime::EmitEvents, which maps every count here
+  /// to its rate and RegionStats counter). EvalRun uses
+  /// EvalOps/StaticLoads; Copy uses the rest. TableOps counts deferral-
+  /// table inserts, resolve hops and dead-kills; ZcpChecks the zero/copy
+  /// candidate tests (same rate, kept separate for readability); SrChecks
+  /// the strength-reduction tests.
   uint32_t EvalOps = 0;
   uint32_t StaticLoads = 0;
   uint32_t Emits = 0;

@@ -1,8 +1,6 @@
-//===- runtime/Emitter.cpp - Resolved-instruction encoder --------------------------===//
+//===- runtime/Emitter.cpp - Emit-time encoding tables -----------------------------===//
 
 #include "runtime/Emitter.h"
-
-#include "ir/ConstEval.h"
 
 namespace dyc {
 namespace runtime {
@@ -102,132 +100,6 @@ bool isUnaryOpcode(Opcode Op) {
   default:
     return false;
   }
-}
-
-void Emitter::emitRaw(v::Instr I) {
-  if (Buf.Code.size() >= MaxInstrs)
-    ++Stats.CodeCapHits; // soft cap: count, don't truncate or abort
-  Buf.Code.push_back(I);
-  ++Stats.InstructionsGenerated;
-  charge(CM.SpecEmit);
-}
-
-void Emitter::emitConst(uint32_t Dst, Word C, ir::Type Ty) {
-  charge(CM.SpecEmitHole);
-  if (Ty == ir::Type::F64)
-    emitRaw({v::Op::ConstF, Dst, 0, 0, static_cast<int64_t>(C.Bits)});
-  else
-    emitRaw({v::Op::ConstI, Dst, 0, 0, C.asInt()});
-}
-
-uint32_t Emitter::regOf(const RVal &A, ir::Type Ty, uint32_t Scratch) {
-  if (!A.IsConst)
-    return A.R;
-  emitConst(Scratch, A.C, Ty);
-  return Scratch;
-}
-
-void Emitter::emitResolved(Opcode Op, ir::Type Ty, uint32_t Dst,
-                           const RVal &A, const RVal &B, int64_t Imm) {
-  switch (Op) {
-  case Opcode::ConstI:
-  case Opcode::ConstF:
-    emitConst(Dst, Word{static_cast<uint64_t>(Imm)}, Ty);
-    return;
-  case Opcode::Mov:
-    if (A.IsConst) {
-      emitConst(Dst, A.C, Ty);
-    } else if (A.R != Dst) {
-      emitRaw({Ty == ir::Type::F64 ? v::Op::FMov : v::Op::Mov, Dst, A.R});
-    }
-    return;
-  case Opcode::Neg:
-  case Opcode::FNeg:
-  case Opcode::IToF:
-  case Opcode::FToI: {
-    if (A.IsConst) {
-      Word Out;
-      if (ir::evalPureOp(Op, A.C, Word(), Out)) {
-        emitConst(Dst, Out, Ty);
-        return;
-      }
-    }
-    emitRaw({vmOpOf(Op), Dst,
-             regOf(A, Ty == ir::Type::F64 && Op != Opcode::FToI
-                          ? ir::Type::F64
-                          : ir::Type::I64,
-                   GX.Scratch0)});
-    return;
-  }
-  case Opcode::Load:
-    if (A.IsConst) {
-      charge(CM.SpecEmitHole);
-      emitRaw({v::Op::LoadAbs, Dst, 0, 0, A.C.asInt() + Imm});
-    } else {
-      emitRaw({v::Op::Load, Dst, A.R, 0, Imm});
-    }
-    return;
-  case Opcode::Store: {
-    // A = address, B = value.
-    uint32_t ValReg = regOf(B, ir::Type::I64, GX.Scratch0);
-    if (A.IsConst) {
-      charge(CM.SpecEmitHole);
-      emitRaw({v::Op::StoreAbs, ValReg, 0, 0, A.C.asInt() + Imm});
-    } else {
-      emitRaw({v::Op::Store, ValReg, A.R, 0, Imm});
-    }
-    return;
-  }
-  default:
-    break;
-  }
-
-  // Binary arithmetic / comparison.
-  if (A.IsConst && B.IsConst) {
-    Word Out;
-    if (ir::evalPureOp(Op, A.C, B.C, Out)) {
-      emitConst(Dst, Out, Ty);
-      return;
-    }
-    // Unfoldable (division by zero): emit faithfully so the fault
-    // happens at run time, as it would have in static code.
-    uint32_t RA = regOf(A, ir::Type::I64, GX.Scratch0);
-    uint32_t RB = regOf(B, ir::Type::I64, GX.Scratch1);
-    emitRaw({vmOpOf(Op), Dst, RA, RB});
-    return;
-  }
-  if (!A.IsConst && B.IsConst) {
-    v::Op IF = immFormOf(Op);
-    if (IF != v::Op::Halt) {
-      charge(CM.SpecEmitHole);
-      emitRaw({IF, Dst, A.R, 0, static_cast<int64_t>(B.C.Bits)});
-      return;
-    }
-    bool FloatOperand = Op == Opcode::FCmpEq || Op == Opcode::FCmpNe ||
-                        Op == Opcode::FCmpLt || Op == Opcode::FCmpLe ||
-                        Op == Opcode::FCmpGt || Op == Opcode::FCmpGe;
-    uint32_t RB = regOf(B, FloatOperand ? ir::Type::F64 : ir::Type::I64,
-                        GX.Scratch1);
-    emitRaw({vmOpOf(Op), Dst, A.R, RB});
-    return;
-  }
-  if (A.IsConst && !B.IsConst) {
-    if (isCommutativeOpcode(Op)) {
-      emitResolved(Op, Ty, Dst, B, A, Imm);
-      return;
-    }
-    Opcode Mirrored = mirrorCompare(Op);
-    if (Mirrored != Op) {
-      emitResolved(Mirrored, Ty, Dst, B, A, Imm);
-      return;
-    }
-    bool FloatOperand = Op == Opcode::FSub || Op == Opcode::FDiv;
-    uint32_t RA = regOf(A, FloatOperand ? ir::Type::F64 : ir::Type::I64,
-                        GX.Scratch0);
-    emitRaw({vmOpOf(Op), Dst, RA, B.R});
-    return;
-  }
-  emitRaw({vmOpOf(Op), Dst, A.R, B.R});
 }
 
 } // namespace runtime

@@ -7,6 +7,18 @@
 namespace dyc {
 namespace runtime {
 
+void PlanRunner::replay(const cogen::PlanStep &S) {
+  uint64_t Cycles = 0;
+  for (const EmitEventRow &Row : EmitEvents) {
+    uint64_t N = S.*Row.Count;
+    if (Row.Rate)
+      Cycles += N * (CM.*Row.Rate);
+    if (Row.Stat)
+      R.Stats.*Row.Stat += N;
+  }
+  M.chargeDynComp(Cycles);
+}
+
 void PlanRunner::runEvals(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
                           std::vector<Word> &Vals) {
   const std::vector<Word> &Mem = M.memory();
@@ -27,7 +39,7 @@ void PlanRunner::runEvals(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
       break;
     }
     case cogen::PlanEval::Load: {
-      int64_t Addr = Vals[E.A].asInt() + E.Imm;
+      int64_t Addr = wrapAdd(Vals[E.A].asInt(), E.Imm);
       if (Addr < 0 || static_cast<uint64_t>(Addr) >= Mem.size())
         fatal("static load out of range at specialize time");
       Vals[E.Dst] = Mem[static_cast<size_t>(Addr)];
@@ -35,9 +47,7 @@ void PlanRunner::runEvals(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
     }
     }
   }
-  M.chargeDynComp(static_cast<uint64_t>(S.EvalOps) * CM.SpecEvalOp +
-                  static_cast<uint64_t>(S.StaticLoads) * CM.SpecStaticLoad);
-  R.Stats.StaticLoadsExecuted += S.StaticLoads;
+  replay(S);
 }
 
 void PlanRunner::runCopy(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
@@ -48,7 +58,7 @@ void PlanRunner::runCopy(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
   for (uint32_t X = S.ExprFirst; X != ExprEnd; ++X) {
     const cogen::PlanExpr &E = BP.Exprs[X];
     if (E.K == cogen::PlanExpr::Log2) {
-      ExprVals[X] = Word::fromInt(log2OfPow2(ref(E.A, Vals).asInt()));
+      ExprVals[X] = Emitter::log2(ref(E.A, Vals));
       continue;
     }
     Word Out;
@@ -65,24 +75,13 @@ void PlanRunner::runCopy(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
   for (uint32_t H = S.HoleFirst; H != HoleEnd; ++H) {
     const cogen::PlanHole &PH = BP.Holes[H];
     Buf.Code[Pre + (PH.InstrIdx - S.First)].Imm =
-        static_cast<int64_t>(ref(PH.Ref, Vals).Bits) + PH.Add;
+        wrapAdd(static_cast<int64_t>(ref(PH.Ref, Vals).Bits), PH.Add);
   }
 
-  // Replay the walk's exact charge trail for the run as one accumulation,
-  // and its stats arithmetically. ZcpChecks and TableOps both charge at
-  // the SpecZcpTableOp rate. CodeCapHits: the legacy emitRaw counts a hit
-  // for every instruction pushed at a position >= the cap.
-  M.chargeDynComp(
-      static_cast<uint64_t>(S.Emits) * CM.SpecEmit +
-      static_cast<uint64_t>(S.EmitHoles) * CM.SpecEmitHole +
-      static_cast<uint64_t>(S.EvalOps) * CM.SpecEvalOp +
-      static_cast<uint64_t>(S.ZcpChecks + S.TableOps) * CM.SpecZcpTableOp +
-      static_cast<uint64_t>(S.SrChecks) * CM.SpecStrengthCheck);
-  R.Stats.InstructionsGenerated += S.Emits;
-  R.Stats.ZcpApplied += S.ZcpApplied;
-  R.Stats.StrengthReduced += S.StrengthReduced;
-  R.Stats.DeadAssignsEliminated += S.DeadAssigns;
-  R.Stats.MaterializedDeferred += S.Materialized;
+  // Replay the walk's charges and stats arithmetically. CodeCapHits: the
+  // legacy emitRaw counts a hit for every instruction pushed at a position
+  // >= the cap.
+  replay(S);
   if (Pre + S.Emits > MaxInstrs)
     R.Stats.CodeCapHits += S.Emits - (Pre < MaxInstrs ? MaxInstrs - Pre : 0);
 }
@@ -92,7 +91,7 @@ void PlanRunner::runSync(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
   const uint32_t End = S.First + S.Count;
   for (uint32_t I = S.First; I != End; ++I) {
     const cogen::PlanSync &Y = BP.Syncs[I];
-    DeferralEngine::DeferredInstr DI;
+    DeferralEngine::Entry DI;
     DI.Op = Y.Op;
     DI.Ty = Y.Ty;
     DI.Dst = Y.Dst;
@@ -100,8 +99,7 @@ void PlanRunner::runSync(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
                        : RVal::reg(Y.A.R, Y.A.Dep);
     DI.B = Y.B.IsConst ? RVal::cst(ref(Y.B.C, Vals))
                        : RVal::reg(Y.B.R, Y.B.Dep);
-    DI.Imm = static_cast<int64_t>(ref(Y.Imm, Vals).Bits);
-    DI.FromZcp = Y.FromZcp;
+    DI.Imm = ref(Y.Imm, Vals);
     D.restore(DI);
   }
 }

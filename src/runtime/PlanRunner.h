@@ -16,11 +16,8 @@
 ///    scratch, then one bulk append of the pre-encoded template into the
 ///    chain buffer, then the hole list patches immediate fields in place.
 ///    The appended instructions are new (never rewritten), so — exactly
-///    like the legacy Emitter::emitRaw appends they replace — no
-///    CodeObject::Version bump happens; the charge trail and stats
-///    (InstructionsGenerated, CodeCapHits, the deferral engine's
-///    ZcpApplied / StrengthReduced / DeadAssignsEliminated /
-///    MaterializedDeferred) are replayed arithmetically.
+///    like the Emitter::emitRaw appends they replace — no
+///    CodeObject::Version bump happens.
 ///  * Branch — evaluate the guard's predicate on the live value and jump
 ///    to the matching pre-compiled sub-program.
 ///  * Sync — rebuild the live DeferralEngine's table from the plan's
@@ -28,6 +25,11 @@
 ///    terminator handling observe exactly the legacy walk's state.
 ///  * Generic — handed back to the caller, which runs the unmodified
 ///    legacy UnrollDriver::execSetup for that SetupOp index.
+///
+/// EvalRun and Copy steps replay their recorded event counts through the
+/// same EmitEvents table (runtime/Emitter.h) the concrete engine charges
+/// by, so cycles and RegionStats come out as the walk's; CodeCapHits,
+/// which depends on the buffer position, is recomputed per Copy step.
 ///
 /// The runner is deliberately decoupled from the UnrollDriver: it sees
 /// only the VM (charging + static-load memory), the region state (stats),
@@ -108,12 +110,13 @@ private:
   bool predicate(const cogen::PlanBranch &Br,
                  const std::vector<Word> &Vals) const {
     Word V = ref(Br.A, Vals);
-    if (Br.P == cogen::PlanBranch::EqBits)
-      return V.Bits == Br.Cmp.Bits;
-    int64_t I = V.asInt();
-    return isPowerOf2(I) && I >= 2;
+    return Br.P == cogen::PlanBranch::EqBits ? Emitter::eqBits(V, Br.Cmp)
+                                             : Emitter::pow2Ge2(V);
   }
 
+  /// Charges and counts one EvalRun or Copy step's recorded events at
+  /// the rates of the EmitEvents table.
+  void replay(const cogen::PlanStep &S);
   void runEvals(const cogen::BlockPlan &BP, const cogen::PlanStep &S,
                 std::vector<Word> &Vals);
   void runCopy(const cogen::BlockPlan &BP, const cogen::PlanStep &S,

@@ -112,7 +112,7 @@ void UnrollDriver::execSetup(const SetupOp &Op, std::vector<Word> &Vals) {
   switch (Op.K) {
   case SetupOp::EvalConst:
     Vals[Op.Dst] = Word{static_cast<uint64_t>(Op.Imm)};
-    charge(CM.SpecEvalOp);
+    E.count<EmitEvent::EvalOp>();
     return;
   case SetupOp::Eval: {
     Word Out;
@@ -122,17 +122,16 @@ void UnrollDriver::execSetup(const SetupOp &Op, std::vector<Word> &Vals) {
       fatal("static computation faulted at specialize time (division "
             "by a zero-valued run-time constant)");
     Vals[Op.Dst] = Out;
-    charge(CM.SpecEvalOp);
+    E.count<EmitEvent::EvalOp>();
     return;
   }
   case SetupOp::EvalLoad: {
-    int64_t Addr = Vals[Op.A.R].asInt() + Op.Imm;
+    int64_t Addr = wrapAdd(Vals[Op.A.R].asInt(), Op.Imm);
     const std::vector<Word> &Mem = M.memory();
     if (Addr < 0 || static_cast<uint64_t>(Addr) >= Mem.size())
       fatal("static load out of range at specialize time");
     Vals[Op.Dst] = Mem[static_cast<size_t>(Addr)];
-    charge(CM.SpecStaticLoad);
-    ++R.Stats.StaticLoadsExecuted;
+    E.count<EmitEvent::StaticLoad>();
     return;
   }
   case SetupOp::EvalCall: {
@@ -177,7 +176,7 @@ void UnrollDriver::execSetup(const SetupOp &Op, std::vector<Word> &Vals) {
 void UnrollDriver::materializeForEdge(const bta::Edge &Ed,
                                       const std::vector<Word> &Vals) {
   for (ir::Reg Rg : Ed.Materialize)
-    E.emitConst(Rg, Vals[Rg], GX.RegTypes[Rg]);
+    D.emitConst(Rg, Vals[Rg], GX.RegTypes[Rg]);
 }
 
 std::optional<UnrollDriver::Item>
@@ -373,7 +372,7 @@ std::optional<UnrollDriver::Item> UnrollDriver::place(Item &Cur) {
     D.dropAllPending();
     if (V.IsConst) {
       ir::Type Ty = GX.RegTypes[T.RetVal.R];
-      E.emitConst(GX.Scratch0, V.C, Ty);
+      D.emitConst(GX.Scratch0, V.C, Ty);
       E.emitRaw({v::Op::Ret, GX.Scratch0});
     } else {
       E.emitRaw({v::Op::Ret, V.R});

@@ -31,7 +31,6 @@
 #define DYC_RUNTIME_UNROLLDRIVER_H
 
 #include "runtime/Deferral.h"
-#include "runtime/Emitter.h"
 #include "runtime/PlanRunner.h"
 #include "runtime/RegionExec.h"
 
@@ -162,8 +161,8 @@ public:
       : Core(Core), R(R), Ordinal(Ordinal), M(M), CM(M.costModel()),
         GX(R.GX), Buf(Buf), ExitStubs(ExitStubs),
         DispatchStubs(DispatchStubs), OsrEntries(OsrEntries),
-        E(Buf, R.Stats, M, R.GX, Flags.MaxRegionInstrs),
-        D(E, R.Stats, M, Flags, R.GX), MaxRegionInstrs(Flags.MaxRegionInstrs),
+        E(Buf, R.Stats, M, Flags.MaxRegionInstrs), D(E, Flags, R.GX),
+        MaxRegionInstrs(Flags.MaxRegionInstrs),
         Plan(Plan),
         PR(M, R, Buf, Flags.MaxRegionInstrs, D),
         Queue(ArenaAllocator<Item>(Scratch)),

@@ -154,6 +154,30 @@ private:
   size_t N = 0;
 };
 
+/// MiniC integer arithmetic: 64-bit two's complement that wraps on
+/// overflow. The static folder, the specializer and both VM engines all
+/// compute through these, so a wrapped result is the same at compile,
+/// specialize and run time.
+inline int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapSub(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) -
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapMul(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapNeg(int64_t A) { return wrapSub(0, A); }
+/// Truncating division; INT64_MIN / -1 wraps to INT64_MIN. \p B != 0.
+inline int64_t wrapDiv(int64_t A, int64_t B) {
+  return B == -1 ? wrapNeg(A) : A / B;
+}
+/// C remainder; INT64_MIN % -1 is 0. \p B != 0.
+inline int64_t wrapRem(int64_t A, int64_t B) { return B == -1 ? 0 : A % B; }
+
 /// Returns true if \p V is a (positive) power of two.
 inline bool isPowerOf2(int64_t V) { return V > 0 && (V & (V - 1)) == 0; }
 

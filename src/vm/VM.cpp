@@ -233,18 +233,18 @@ void VM::stepOne(size_t BaseDepth) {
     R[I.A] = R[I.B];
     break;
 
-  case Op::Add: R[I.A] = Word::fromInt(R[I.B].asInt() + R[I.C].asInt()); break;
-  case Op::Sub: R[I.A] = Word::fromInt(R[I.B].asInt() - R[I.C].asInt()); break;
-  case Op::Mul: R[I.A] = Word::fromInt(R[I.B].asInt() * R[I.C].asInt()); break;
+  case Op::Add: R[I.A] = Word::fromInt(wrapAdd(R[I.B].asInt(), R[I.C].asInt())); break;
+  case Op::Sub: R[I.A] = Word::fromInt(wrapSub(R[I.B].asInt(), R[I.C].asInt())); break;
+  case Op::Mul: R[I.A] = Word::fromInt(wrapMul(R[I.B].asInt(), R[I.C].asInt())); break;
   case Op::Div:
     if (R[I.C].asInt() == 0)
       machineError("integer divide by zero", Fr);
-    R[I.A] = Word::fromInt(R[I.B].asInt() / R[I.C].asInt());
+    R[I.A] = Word::fromInt(wrapDiv(R[I.B].asInt(), R[I.C].asInt()));
     break;
   case Op::Rem:
     if (R[I.C].asInt() == 0)
       machineError("integer remainder by zero", Fr);
-    R[I.A] = Word::fromInt(R[I.B].asInt() % R[I.C].asInt());
+    R[I.A] = Word::fromInt(wrapRem(R[I.B].asInt(), R[I.C].asInt()));
     break;
   case Op::And: R[I.A] = Word::fromInt(R[I.B].asInt() & R[I.C].asInt()); break;
   case Op::Or:  R[I.A] = Word::fromInt(R[I.B].asInt() | R[I.C].asInt()); break;
@@ -255,20 +255,20 @@ void VM::stepOne(size_t BaseDepth) {
   case Op::Shr:
     R[I.A] = Word::fromInt(R[I.B].asInt() >> (R[I.C].asInt() & 63));
     break;
-  case Op::Neg: R[I.A] = Word::fromInt(-R[I.B].asInt()); break;
+  case Op::Neg: R[I.A] = Word::fromInt(wrapNeg(R[I.B].asInt())); break;
 
-  case Op::AddI: R[I.A] = Word::fromInt(R[I.B].asInt() + I.Imm); break;
-  case Op::SubI: R[I.A] = Word::fromInt(R[I.B].asInt() - I.Imm); break;
-  case Op::MulI: R[I.A] = Word::fromInt(R[I.B].asInt() * I.Imm); break;
+  case Op::AddI: R[I.A] = Word::fromInt(wrapAdd(R[I.B].asInt(), I.Imm)); break;
+  case Op::SubI: R[I.A] = Word::fromInt(wrapSub(R[I.B].asInt(), I.Imm)); break;
+  case Op::MulI: R[I.A] = Word::fromInt(wrapMul(R[I.B].asInt(), I.Imm)); break;
   case Op::DivI:
     if (I.Imm == 0)
       machineError("integer divide by zero immediate", Fr);
-    R[I.A] = Word::fromInt(R[I.B].asInt() / I.Imm);
+    R[I.A] = Word::fromInt(wrapDiv(R[I.B].asInt(), I.Imm));
     break;
   case Op::RemI:
     if (I.Imm == 0)
       machineError("integer remainder by zero immediate", Fr);
-    R[I.A] = Word::fromInt(R[I.B].asInt() % I.Imm);
+    R[I.A] = Word::fromInt(wrapRem(R[I.B].asInt(), I.Imm));
     break;
   case Op::AndI: R[I.A] = Word::fromInt(R[I.B].asInt() & I.Imm); break;
   case Op::OrI:  R[I.A] = Word::fromInt(R[I.B].asInt() | I.Imm); break;
@@ -328,13 +328,13 @@ void VM::stepOne(size_t BaseDepth) {
     break;
 
   case Op::Load:
-    R[I.A] = mem(R[I.B].asInt() + I.Imm, Fr);
+    R[I.A] = mem(wrapAdd(R[I.B].asInt(), I.Imm), Fr);
     break;
   case Op::LoadAbs:
     R[I.A] = mem(I.Imm, Fr);
     break;
   case Op::Store:
-    mem(R[I.B].asInt() + I.Imm, Fr) = R[I.A];
+    mem(wrapAdd(R[I.B].asInt(), I.Imm), Fr) = R[I.A];
     break;
   case Op::StoreAbs:
     mem(I.Imm, Fr) = R[I.A];
@@ -620,15 +620,15 @@ restart_frame:
         }
 
         CASE(Add) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() + R[IP->C].asInt());
+          R[IP->A] = Word::fromInt(wrapAdd(R[IP->B].asInt(), R[IP->C].asInt()));
           NEXT();
         }
         CASE(Sub) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() - R[IP->C].asInt());
+          R[IP->A] = Word::fromInt(wrapSub(R[IP->B].asInt(), R[IP->C].asInt()));
           NEXT();
         }
         CASE(Mul) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() * R[IP->C].asInt());
+          R[IP->A] = Word::fromInt(wrapMul(R[IP->B].asInt(), R[IP->C].asInt()));
           NEXT();
         }
         CASE(Div) {
@@ -636,7 +636,7 @@ restart_frame:
             SETPC();
             machineError("integer divide by zero", Fr);
           }
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() / R[IP->C].asInt());
+          R[IP->A] = Word::fromInt(wrapDiv(R[IP->B].asInt(), R[IP->C].asInt()));
           NEXT();
         }
         CASE(Rem) {
@@ -644,7 +644,7 @@ restart_frame:
             SETPC();
             machineError("integer remainder by zero", Fr);
           }
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() % R[IP->C].asInt());
+          R[IP->A] = Word::fromInt(wrapRem(R[IP->B].asInt(), R[IP->C].asInt()));
           NEXT();
         }
         CASE(And) {
@@ -668,20 +668,20 @@ restart_frame:
           NEXT();
         }
         CASE(Neg) {
-          R[IP->A] = Word::fromInt(-R[IP->B].asInt());
+          R[IP->A] = Word::fromInt(wrapNeg(R[IP->B].asInt()));
           NEXT();
         }
 
         CASE(AddI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() + IP->Imm);
+          R[IP->A] = Word::fromInt(wrapAdd(R[IP->B].asInt(), IP->Imm));
           NEXT();
         }
         CASE(SubI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() - IP->Imm);
+          R[IP->A] = Word::fromInt(wrapSub(R[IP->B].asInt(), IP->Imm));
           NEXT();
         }
         CASE(MulI) {
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() * IP->Imm);
+          R[IP->A] = Word::fromInt(wrapMul(R[IP->B].asInt(), IP->Imm));
           NEXT();
         }
         CASE(DivI) {
@@ -689,7 +689,7 @@ restart_frame:
             SETPC();
             machineError("integer divide by zero immediate", Fr);
           }
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() / IP->Imm);
+          R[IP->A] = Word::fromInt(wrapDiv(R[IP->B].asInt(), IP->Imm));
           NEXT();
         }
         CASE(RemI) {
@@ -697,7 +697,7 @@ restart_frame:
             SETPC();
             machineError("integer remainder by zero immediate", Fr);
           }
-          R[IP->A] = Word::fromInt(R[IP->B].asInt() % IP->Imm);
+          R[IP->A] = Word::fromInt(wrapRem(R[IP->B].asInt(), IP->Imm));
           NEXT();
         }
         CASE(AndI) {
@@ -850,7 +850,7 @@ restart_frame:
 
         CASE(Load) {
           SETPC();
-          R[IP->A] = mem(R[IP->B].asInt() + IP->Imm, Fr);
+          R[IP->A] = mem(wrapAdd(R[IP->B].asInt(), IP->Imm), Fr);
           NEXT();
         }
         CASE(LoadAbs) {
@@ -860,7 +860,7 @@ restart_frame:
         }
         CASE(Store) {
           SETPC();
-          mem(R[IP->B].asInt() + IP->Imm, Fr) = R[IP->A];
+          mem(wrapAdd(R[IP->B].asInt(), IP->Imm), Fr) = R[IP->A];
           NEXT();
         }
         CASE(StoreAbs) {
@@ -993,7 +993,8 @@ restart_frame:
         }
         CASE(ConstIAdd) {
           R[IP->A] = Word{static_cast<uint64_t>(IP->Imm)};
-          R[IP[1].A] = Word::fromInt(R[IP[1].B].asInt() + R[IP[1].C].asInt());
+          R[IP[1].A] =
+              Word::fromInt(wrapAdd(R[IP[1].B].asInt(), R[IP[1].C].asInt()));
           NEXT2();
         }
         CASE(MovBr) {

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 
 using namespace dyc;
 using workloads::Workload;
@@ -390,5 +391,149 @@ TEST(EmitPlanSelection, FlagAndEnvironmentRules) {
   EXPECT_TRUE(E->RT->stats(0).PlanEnabled);
   EXPECT_EQ(E->RT->stats(0).PlanBuilds, 1u);
 }
+
+
+// The emit-time decision tree, one op at a time: a region whose only
+// dynamic instruction is `x OP k` (or `k OP x`) with k static. Every
+// (op, constant side, constant value, ZCP, SR) combination must emit
+// byte-identical code and charge bit-identical counters with the plan on
+// and off, and compute what the static build computes.
+struct SweepOp {
+  const char *Name;
+  const char *Sym;
+  bool IsFloat;
+};
+
+const SweepOp SweepOps[] = {
+    {"Add", "+", false},  {"Sub", "-", false},  {"Mul", "*", false},
+    {"Div", "/", false},  {"Rem", "%", false},  {"CmpLt", "<", false},
+    {"FAdd", "+", true},  {"FSub", "-", true},  {"FMul", "*", true},
+    {"FDiv", "/", true},
+};
+
+struct SweepCase {
+  const SweepOp *Op;
+  bool ConstLeft;
+};
+
+void PrintTo(const SweepCase &C, std::ostream *OS) {
+  *OS << C.Op->Name << (C.ConstLeft ? " k-left" : " k-right");
+}
+
+std::string sweepSource(const SweepCase &C) {
+  const char *Ty = C.Op->IsFloat ? "double" : "int";
+  std::string Expr = C.ConstLeft ? std::string("k ") + C.Op->Sym + " x"
+                                 : std::string("x ") + C.Op->Sym + " k";
+  return std::string(Ty) + " f(" + Ty + " k, " + Ty + " x) {\n" +
+         "  make_static(k);\n  return " + Expr + ";\n}\n";
+}
+
+struct SweepRun {
+  std::vector<uint64_t> Results;
+  uint64_t DynCompCycles = 0;
+  std::string Disassembly;
+  std::string Stats;
+};
+
+SweepRun runSweep(core::Executable &E, Word K, const std::vector<Word> &Xs,
+                  bool Dynamic) {
+  int FI = E.findFunction("f");
+  EXPECT_GE(FI, 0);
+  SweepRun R;
+  for (Word X : Xs)
+    R.Results.push_back(
+        E.Machine->run(static_cast<uint32_t>(FI), {K, X}).Bits);
+  if (Dynamic) {
+    R.DynCompCycles = E.Machine->dynCompCycles();
+    R.Disassembly = E.RT->disassembleRegion(0);
+    R.Stats = statsSansPlan(E.RT->stats(0));
+  }
+  return R;
+}
+
+bool isZeroBits(uint64_t Bits) { return (Bits << 1) == 0; }
+
+class EmitDecisionSweep : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(EmitDecisionSweep, PlanMatchesWalkAndStaticBuild) {
+  const SweepCase &C = GetParam();
+  const bool F = C.Op->IsFloat;
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  std::vector<Word> Ks, Xs;
+  if (F) {
+    for (double K : {0.0, -0.0, 1.0, 2.0})
+      Ks.push_back(Word::fromFloat(K));
+    for (double X : {2.5, -3.0, 0.75, -0.0})
+      Xs.push_back(Word::fromFloat(X));
+  } else {
+    for (int64_t K : {int64_t(0), int64_t(1), int64_t(-1), int64_t(2),
+                      int64_t(3), int64_t(8), Min})
+      Ks.push_back(Word::fromInt(K));
+    for (int64_t X : {7, -5, 12, 100, -16})
+      Xs.push_back(Word::fromInt(X));
+  }
+  const std::string Op = C.Op->Name;
+  const bool IntDivRem = Op == "Div" || Op == "Rem";
+
+  core::DycContext Ctx;
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(Ctx.compile(sweepSource(C), Errors))
+      << (Errors.empty() ? "" : Errors[0]);
+
+  auto Static = Ctx.buildStatic();
+  for (Word K : Ks) {
+    // A zero divisor faults at run time in every configuration alike.
+    if (IntDivRem && !C.ConstLeft && K.asInt() == 0)
+      continue;
+    SweepRun Ref = runSweep(*Static, K, Xs, false);
+    for (bool Zcp : {false, true}) {
+      for (bool Sr : {false, true}) {
+        std::string What = sweepSource(C) + " k=" +
+                           std::to_string(K.asInt()) +
+                           " zcp=" + std::to_string(Zcp) +
+                           " sr=" + std::to_string(Sr);
+        SweepRun Runs[2];
+        for (bool PlanOn : {true, false}) {
+          OptFlags Fl = withPlan(PlanOn);
+          Fl.ZeroCopyPropagation = Zcp;
+          Fl.StrengthReduction = Sr;
+          auto E = Ctx.buildDynamic(Fl);
+          Runs[PlanOn ? 0 : 1] = runSweep(*E, K, Xs, true);
+        }
+        EXPECT_EQ(Runs[0].Disassembly, Runs[1].Disassembly) << What;
+        EXPECT_EQ(Runs[0].DynCompCycles, Runs[1].DynCompCycles) << What;
+        EXPECT_EQ(Runs[0].Stats, Runs[1].Stats) << What;
+        EXPECT_EQ(Runs[0].Results, Runs[1].Results) << What;
+        // Zero/copy propagation rewrites x*0.0 to +0.0 and x+0.0 to x,
+        // which get the sign of a zero result wrong (negative x, and
+        // x = -0.0): the one place a dynamic result may differ from the
+        // static build, and only in the sign of a zero.
+        bool SignedZeroRewrite = F && Zcp && K.Bits == 0 &&
+                                 (Op == "FMul" || Op == "FAdd");
+        for (size_t I = 0; I != Xs.size(); ++I) {
+          uint64_t Dyn = Runs[0].Results[I], Stat = Ref.Results[I];
+          if (SignedZeroRewrite && isZeroBits(Dyn) && isZeroBits(Stat))
+            continue;
+          EXPECT_EQ(Dyn, Stat) << What << " x#" << I;
+        }
+      }
+    }
+  }
+}
+
+std::vector<SweepCase> sweepCases() {
+  std::vector<SweepCase> Cases;
+  for (const SweepOp &Op : SweepOps)
+    for (bool Left : {false, true})
+      Cases.push_back({&Op, Left});
+  return Cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OneOp, EmitDecisionSweep, ::testing::ValuesIn(sweepCases()),
+    [](const ::testing::TestParamInfo<SweepCase> &I) {
+      return std::string(I.param.Op->Name) +
+             (I.param.ConstLeft ? "_ConstLeft" : "_ConstRight");
+    });
 
 } // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace dyc;
 using namespace dyc::ir;
 
@@ -65,6 +67,36 @@ TEST(ConstantFold, DoesNotFoldDivideByZero) {
   opt::runStaticOptimizations(F, M);
   EXPECT_EQ(verifyFunction(F, M), "");
   EXPECT_EQ(countOp(F, Opcode::Div), 1u); // faults at run time, as in C
+}
+
+TEST(ConstantFold, FoldsWrappingArithmetic) {
+  // INT64_MIN / -1 wraps to INT64_MIN (it used to trap the folder), and
+  // overflowing adds and multiplies wrap.
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  const char *Srcs[] = {
+      "int f() { int m = 0 - 9223372036854775807 - 1; int d = 0 - 1;\n"
+      "  return m / d; }",
+      "int f() { int m = 9223372036854775807; return m + 1; }",
+      "int f() { int m = 0 - 9223372036854775807 - 1; return m * 3; }",
+      "int f() { int m = 0 - 9223372036854775807 - 1; int d = 0 - 1;\n"
+      "  return m % d + m; }",
+  };
+  for (const char *Src : Srcs) {
+    ir::Module M = lower(Src);
+    Function &F = M.function(0);
+    opt::runStaticOptimizations(F, M);
+    EXPECT_EQ(verifyFunction(F, M), "") << Src;
+    EXPECT_EQ(countOp(F, Opcode::Div) + countOp(F, Opcode::Rem) +
+                  countOp(F, Opcode::Add) + countOp(F, Opcode::Mul),
+              0u)
+        << Src;
+    bool FoundMin = false;
+    for (const BasicBlock &B : F.Blocks)
+      for (const Instruction &I : B.Instrs)
+        if (I.Op == Opcode::ConstI && I.Imm == Min)
+          FoundMin = true;
+    EXPECT_TRUE(FoundMin) << Src;
+  }
 }
 
 TEST(CopyProp, ForwardsThroughTemps) {

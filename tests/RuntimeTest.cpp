@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 using namespace dyc;
 using runtime::CacheResult;
@@ -237,6 +238,32 @@ TEST(Specializer, DeferredDeadChainsNeverEmit) {
   EXPECT_GE(E->RT->stats(0).DeadAssignsEliminated, 1u);
   std::string Dis = E->RT->disassembleRegion(0);
   EXPECT_EQ(Dis.find("load"), std::string::npos) << Dis;
+}
+
+TEST(Specializer, WrappingArithmeticMatchesStaticBuild) {
+  // a / (0 - 1) folds at specialize time, a / b runs in the residual
+  // code, and a * b overflows: with a = INT64_MIN every one of them
+  // wraps, identically in the static and the dynamic configuration.
+  auto Ctx = compile("int k(int a, int b) {\n"
+                     "  make_static(a);\n"
+                     "  return b + a / (0 - 1) + a % (0 - 1) + a * b + a / b;\n"
+                     "}");
+  auto S = Ctx->buildStatic();
+  auto D = Ctx->buildDynamic();
+  int FS = S->findFunction("k"), FD = D->findFunction("k");
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  const int64_t Args[][2] = {{Min, 3}, {Min, -1}, {7, -1}, {Max, 2}};
+  for (const auto &AB : Args) {
+    std::vector<Word> In = {Word::fromInt(AB[0]), Word::fromInt(AB[1])};
+    Word RS = S->Machine->run(FS, In);
+    Word RD = D->Machine->run(FD, In);
+    EXPECT_EQ(RD.Bits, RS.Bits) << "a=" << AB[0] << " b=" << AB[1];
+  }
+  // 3 + INT64_MIN + 0 + INT64_MIN * 3 + INT64_MIN / 3 modulo 2^64, where
+  // INT64_MIN * 3 wraps to INT64_MIN and 2 * INT64_MIN to 0.
+  Word R = D->Machine->run(FD, {Word::fromInt(Min), Word::fromInt(3)});
+  EXPECT_EQ(R.asInt(), 3 + Min / 3);
 }
 
 TEST(Specializer, StaticCallMemoization) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace dyc;
 using namespace dyc::vm;
 
@@ -277,6 +279,74 @@ TEST(VMExec, DifferentialAgainstConstEval) {
           << ir::opcodeName(P.IROp) << " A=" << A.Bits << " B=" << B.Bits;
     }
   }
+}
+
+TEST(VMExec, DifferentialOverflowEdges) {
+  // Integer arithmetic wraps in 64-bit two's complement, and
+  // INT64_MIN / -1 == INT64_MIN, INT64_MIN % -1 == 0, in both engines
+  // and in every encoding (register, immediate, and the ConstI+Add
+  // superinstruction the predecoder fuses) — exactly what the shared
+  // evaluator computes.
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  const int64_t Edges[] = {Min, Min + 1, -2, -1, 0, 1, 2, Max};
+  struct OpForms {
+    ir::Opcode IROp;
+    Op Reg, Imm;
+  };
+  const OpForms Forms[] = {
+      {ir::Opcode::Add, Op::Add, Op::AddI},
+      {ir::Opcode::Sub, Op::Sub, Op::SubI},
+      {ir::Opcode::Mul, Op::Mul, Op::MulI},
+      {ir::Opcode::Div, Op::Div, Op::DivI},
+      {ir::Opcode::Rem, Op::Rem, Op::RemI},
+  };
+  for (VM::EngineKind Engine :
+       {VM::EngineKind::Legacy, VM::EngineKind::Predecoded}) {
+    for (const OpForms &F : Forms) {
+      for (int64_t A : Edges) {
+        for (int64_t B : Edges) {
+          Word Expected;
+          if (!ir::evalPureOp(F.IROp, Word::fromInt(A), Word::fromInt(B),
+                              Expected))
+            continue; // zero divisor: faults at run time
+          std::vector<std::vector<Instr>> Codes = {
+              {{F.Reg, 2, 0, 1}, {Op::Ret, 2}},
+              {{F.Imm, 2, 0, 0, B}, {Op::Ret, 2}},
+              {{Op::ConstI, 1, 0, 0, B}, {F.Reg, 2, 0, 1}, {Op::Ret, 2}},
+          };
+          for (std::vector<Instr> &Code : Codes) {
+            MiniProgram MP(std::move(Code), 3);
+            VM M(MP.P);
+            M.Engine = Engine;
+            EXPECT_EQ(M.run(MP.Func, {Word::fromInt(A), Word::fromInt(B)})
+                          .asInt(),
+                      Expected.asInt())
+                << ir::opcodeName(F.IROp) << " A=" << A << " B=" << B;
+          }
+        }
+      }
+    }
+    for (int64_t A : Edges) {
+      MiniProgram MP({{Op::Neg, 2, 0}, {Op::Ret, 2}}, 3);
+      VM M(MP.P);
+      M.Engine = Engine;
+      EXPECT_EQ(M.run(MP.Func, {Word::fromInt(A)}).asInt(),
+                A == Min ? Min : -A);
+    }
+  }
+  Word Out;
+  ASSERT_TRUE(ir::evalPureOp(ir::Opcode::Div, Word::fromInt(Min),
+                             Word::fromInt(-1), Out));
+  EXPECT_EQ(Out.asInt(), Min);
+  ASSERT_TRUE(ir::evalPureOp(ir::Opcode::Rem, Word::fromInt(Min),
+                             Word::fromInt(-1), Out));
+  EXPECT_EQ(Out.asInt(), 0);
+  ASSERT_TRUE(ir::evalPureOp(ir::Opcode::Add, Word::fromInt(Max),
+                             Word::fromInt(1), Out));
+  EXPECT_EQ(Out.asInt(), Min);
+  EXPECT_FALSE(ir::evalPureOp(ir::Opcode::Div, Word::fromInt(1),
+                              Word::fromInt(0), Out));
 }
 
 TEST(DisassemblerTest, RendersKnownForms) {
